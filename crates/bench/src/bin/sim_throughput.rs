@@ -1,5 +1,6 @@
 //! Self-profiles the simulator: simulated cycles per wall-clock second on
-//! the small-test and baseline machines, a per-epoch step() timing via
+//! the small-test, baseline and mesh machines (read streamers, chasers,
+//! and write streamers on the baseline), a per-epoch step() timing via
 //! the in-repo micro-benchmark harness, and a serial-vs-parallel sweep
 //! comparison through `harness::run_indexed` (the `all_figures` executor).
 //!
@@ -11,7 +12,7 @@
 use std::time::Instant;
 
 use pabst_bench::obs::CliArgs;
-use pabst_bench::scenarios::{read_streamers, region_for};
+use pabst_bench::scenarios::{read_streamers, region_for, write_streamers};
 use pabst_bench::{harness, timing};
 use pabst_cpu::Workload;
 use pabst_soc::config::{RegulationMode, SystemConfig};
@@ -80,7 +81,7 @@ fn build(name: &str, skip: bool) -> System {
 
 fn build_capped(name: &str, skip: bool, cap: Option<u64>) -> System {
     let (mut cfg, per_class) = match name {
-        "baseline" => (SystemConfig::baseline_32core(), 16),
+        "baseline" | "write_stream" => (SystemConfig::baseline_32core(), 16),
         "mesh_64" => (SystemConfig::mesh_64(), 32),
         "mesh_256x16" => (SystemConfig::mesh_256x16(), 32),
         _ => (SystemConfig::small_test(), 2),
@@ -92,6 +93,12 @@ fn build_capped(name: &str, skip: bool, cap: Option<u64>) -> System {
         SystemBuilder::new(cfg, RegulationMode::Pabst)
             .class(3, chasers_1chain(0, per_class, 0))
             .class(1, chasers_1chain(1, per_class, 0))
+    } else if name == "write_stream" {
+        // The baseline machine with class 0 writing: its cores keep every
+        // L2 MSHR busy, so the store path and refused accesses dominate.
+        SystemBuilder::new(cfg, RegulationMode::Pabst)
+            .class(3, write_streamers(0, per_class, 0))
+            .class(1, read_streamers(1, per_class, 0))
     } else {
         SystemBuilder::new(cfg, RegulationMode::Pabst)
             .class(3, read_streamers(0, per_class, 0))
@@ -287,6 +294,7 @@ fn main() {
         profile("mesh_64", epochs),
         profile("mesh_256x16", epochs),
         profile("chaser", epochs),
+        profile("write_stream", epochs),
     ];
 
     // Probe-backoff cap sweep — the evidence behind the builder default.

@@ -5,7 +5,10 @@
 //! (indexed by a stable sequence number), and an *attention list* tracks
 //! only the entries that still need issue work, so the per-cycle cost is
 //! proportional to actionable work, not ROB size — the simulator spends
-//! most of its time here.
+//! most of its time here. Entries the port refuses move off that list to
+//! a *blocked list* until the port frees a resource (see [`Access::Stall`]),
+//! so a core whose stores wait on full MSHRs does not re-probe its caches
+//! every cycle.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -21,7 +24,10 @@ pub enum Access {
     Hit(u64),
     /// Missed; a fill will be delivered later via [`OooCore::on_fill`].
     Miss,
-    /// No resource available (MSHR full, port busy): retry next cycle.
+    /// No resource available (MSHR full): refused until the port next
+    /// frees a resource, i.e. until [`MemPort::releases`] moves. The core
+    /// does not offer the access again before then, so a port must not
+    /// refuse for a reason that clears without a release.
     Stall,
 }
 
@@ -31,6 +37,11 @@ pub trait MemPort {
     /// Offers a load/store of `line` tagged `id`. Stores use the same path
     /// (write-allocate RFO).
     fn access(&mut self, now: Cycle, line: LineAddr, store: bool, id: LoadId) -> Access;
+
+    /// A monotone count of resources the port has freed. A refused
+    /// ([`Access::Stall`]) access is retried on the first core step that
+    /// sees this count differ from its value at the refusal.
+    fn releases(&self) -> u64;
 }
 
 /// Core structural parameters (paper Table III class of machine).
@@ -51,7 +62,7 @@ impl Default for CoreConfig {
 }
 
 /// Retirement-side statistics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
     /// Instructions retired.
     pub retired: u64,
@@ -135,6 +146,15 @@ pub struct OooCore {
     /// this lets the issue stage stop scanning the moment neither loads
     /// nor stores can make progress.
     attention_stores: usize,
+    /// Entry seqs the port refused, off the attention list until
+    /// [`MemPort::releases`] moves. Each run of refusals is in sequence
+    /// order; runs from different cycles may interleave.
+    blocked: Vec<u64>,
+    /// Unissued stores on the blocked list.
+    blocked_stores: usize,
+    /// The port's release count at the last issue stage: every blocked
+    /// entry was refused at this count.
+    seen_releases: u64,
     outstanding: usize,
     stats: CoreStats,
     markers: Vec<(u64, Cycle)>,
@@ -159,6 +179,9 @@ impl OooCore {
             attention: Vec::new(),
             attention_scratch: Vec::new(),
             attention_stores: 0,
+            blocked: Vec::new(),
+            blocked_stores: 0,
+            seen_releases: 0,
             outstanding: 0,
             stats: CoreStats::default(),
             markers: Vec::new(),
@@ -227,7 +250,10 @@ impl OooCore {
     ///   timed wake when the head load's data has a known arrival cycle;
     /// * issue acts when any attention-list entry could issue or resolve
     ///   a dependence now, with timed wakes for producers whose data
-    ///   arrival is already scheduled.
+    ///   arrival is already scheduled. Blocked entries count as if they
+    ///   were still retried every cycle: the core cannot see a release
+    ///   until it steps, so it must keep stepping while one could be
+    ///   offered to the port.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         use pabst_simkit::horizon::Horizon;
 
@@ -262,9 +288,15 @@ impl OooCore {
             }
             Some(Entry::Load { .. }) => {}
         }
+        // Blocked entries: a store could be offered whenever the port
+        // frees an MSHR, a (Ready) load only below the MLP bound.
+        let below_mlp = self.outstanding < self.cfg.max_outstanding;
+        if !self.blocked.is_empty() && (below_mlp || self.blocked_stores > 0) {
+            return Some(now);
+        }
         // Issue: mirror the issue stage's own early-exit — when loads
         // are MLP-bound and no store is pending, the whole list is inert.
-        let mlp_bound = self.outstanding >= self.cfg.max_outstanding && self.attention_stores == 0;
+        let mlp_bound = !below_mlp && self.attention_stores == 0;
         if !self.attention.is_empty() && !mlp_bound {
             for &seq in &self.attention {
                 let Some(idx) = seq.checked_sub(self.head_seq) else { return Some(now) };
@@ -375,6 +407,11 @@ impl OooCore {
     }
 
     fn issue(&mut self, now: Cycle, port: &mut dyn MemPort) {
+        let releases = port.releases();
+        if releases != self.seen_releases {
+            self.seen_releases = releases;
+            self.unblock();
+        }
         if self.attention.is_empty() {
             return;
         }
@@ -387,9 +424,9 @@ impl OooCore {
                 || (self.outstanding >= self.cfg.max_outstanding && self.attention_stores == 0)
             {
                 // No further entry can issue this cycle: the per-cycle cap
-                // is exhausted, or loads are MLP-bound and no store is
-                // pending anywhere on the list. Nothing in the tail can
-                // change observable state (a resolvable WaitDep is
+                // is exhausted, or loads are MLP-bound and every pending
+                // store is blocked. Nothing in the tail can change
+                // observable state (a resolvable WaitDep is
                 // indistinguishable from Ready until it can issue), so
                 // keep it wholesale.
                 kept.extend_from_slice(&attention[pos..]);
@@ -446,7 +483,7 @@ impl OooCore {
                                 self.stats.loads += 1;
                                 issued_this_cycle += 1;
                             }
-                            Access::Stall => kept.push(seq),
+                            Access::Stall => self.blocked.push(seq),
                         }
                     } else {
                         kept.push(seq);
@@ -464,7 +501,11 @@ impl OooCore {
                                 self.attention_stores -= 1;
                                 issued_this_cycle += 1;
                             }
-                            Access::Stall => kept.push(seq),
+                            Access::Stall => {
+                                self.blocked.push(seq);
+                                self.attention_stores -= 1;
+                                self.blocked_stores += 1;
+                            }
                         }
                     } else {
                         kept.push(seq);
@@ -478,6 +519,20 @@ impl OooCore {
         let mut drained = attention;
         drained.clear();
         self.attention_scratch = drained;
+    }
+
+    /// Returns every blocked entry to the attention list, restoring
+    /// sequence order. The attention list is sorted and the blocked list
+    /// is a few sorted runs, which the stable sort merges rather than
+    /// re-sorting.
+    fn unblock(&mut self) {
+        if self.blocked.is_empty() {
+            return;
+        }
+        self.attention.append(&mut self.blocked);
+        self.attention.sort();
+        self.attention_stores += self.blocked_stores;
+        self.blocked_stores = 0;
     }
 
     fn dispatch(&mut self, _now: Cycle, workload: &mut dyn Workload) {
@@ -542,6 +597,9 @@ mod tests {
         fn access(&mut self, _n: Cycle, _l: LineAddr, _s: bool, _i: LoadId) -> Access {
             Access::Hit(self.0)
         }
+        fn releases(&self) -> u64 {
+            0
+        }
     }
 
     /// Memory that always misses; fills must be delivered manually.
@@ -556,6 +614,82 @@ mod tests {
             }
             Access::Miss
         }
+        fn releases(&self) -> u64 {
+            0
+        }
+    }
+
+    /// An L2-like port: lines in `hits` hit with latency 1; any other
+    /// line takes one of `cap` MSHR entries (merging into an entry its
+    /// line already holds) or is refused. Every offered access is logged.
+    #[derive(Default)]
+    struct Mshrs {
+        cap: usize,
+        inflight: Vec<LineAddr>,
+        hits: Vec<LineAddr>,
+        releases: u64,
+        offered: Vec<(Cycle, LineAddr, bool)>,
+    }
+    impl Mshrs {
+        fn new(cap: usize, hits: &[u64], inflight: &[u64]) -> Self {
+            Self {
+                cap,
+                hits: hits.iter().map(|&l| LineAddr::new(l)).collect(),
+                inflight: inflight.iter().map(|&l| LineAddr::new(l)).collect(),
+                ..Self::default()
+            }
+        }
+        /// Completes the entry for `line`, as a fill would.
+        fn release(&mut self, line: u64) {
+            self.inflight.retain(|&l| l != LineAddr::new(line));
+            self.releases += 1;
+        }
+        /// Lines offered at `now`.
+        fn offered_at(&self, now: Cycle) -> Vec<(u64, bool)> {
+            self.offered.iter().filter(|o| o.0 == now).map(|o| (o.1.get(), o.2)).collect()
+        }
+    }
+    impl MemPort for Mshrs {
+        fn access(&mut self, now: Cycle, line: LineAddr, store: bool, _i: LoadId) -> Access {
+            self.offered.push((now, line, store));
+            if self.hits.contains(&line) {
+                Access::Hit(1)
+            } else if self.inflight.contains(&line) {
+                Access::Miss
+            } else if self.inflight.len() < self.cap {
+                self.inflight.push(line);
+                Access::Miss
+            } else {
+                Access::Stall
+            }
+        }
+        fn releases(&self) -> u64 {
+            self.releases
+        }
+    }
+
+    /// Plays `ops` in order, then single-instruction compute forever.
+    struct Script(VecDeque<Op>);
+    impl Script {
+        fn new(ops: Vec<Op>) -> Self {
+            Self(ops.into())
+        }
+    }
+    impl Workload for Script {
+        fn next_op(&mut self) -> Op {
+            self.0.pop_front().unwrap_or(Op::Compute(1))
+        }
+        fn name(&self) -> &str {
+            "script"
+        }
+    }
+
+    fn load(line: u64, id: u64, dep: Option<u64>) -> Op {
+        Op::Load { addr: Addr::new(line * 64), id: LoadId(id), dep: dep.map(LoadId) }
+    }
+
+    fn store(line: u64) -> Op {
+        Op::Store { addr: Addr::new(line * 64) }
     }
 
     struct ComputeOnly;
@@ -778,28 +912,154 @@ mod tests {
 
     #[test]
     fn stalled_accesses_are_retried_until_accepted() {
-        /// Stalls the first `n` attempts, then hits.
+        /// Refuses every access until it has released `needed` resources.
         struct Flaky {
-            stalls_left: u32,
+            needed: u64,
+            releases: u64,
+            attempts: u32,
         }
         impl MemPort for Flaky {
             fn access(&mut self, _n: Cycle, _l: LineAddr, _s: bool, _i: LoadId) -> Access {
-                if self.stalls_left > 0 {
-                    self.stalls_left -= 1;
+                self.attempts += 1;
+                if self.releases < self.needed {
                     Access::Stall
                 } else {
                     Access::Hit(1)
                 }
             }
+            fn releases(&self) -> u64 {
+                self.releases
+            }
         }
         let mut core = OooCore::new(CoreConfig::default());
-        let mut mem = Flaky { stalls_left: 10 };
+        let mut mem = Flaky { needed: 3, releases: 0, attempts: 0 };
         let mut wl = Chain { next: 0 };
-        for now in 0..50 {
+        // The chain head is offered at cycle 1, then again on the steps
+        // after the releases at cycles 4, 9 and 14 — not every cycle.
+        for now in 0..14 {
+            if now % 5 == 4 {
+                mem.releases += 1;
+            }
             core.step(now, &mut wl, &mut mem);
         }
-        assert!(core.stats().loads >= 1, "load must eventually issue after stalls");
+        assert_eq!(mem.attempts, 3, "one refused offer per release, plus the first");
+        assert_eq!(core.stats().loads, 0);
+        mem.releases += 1;
+        core.step(14, &mut wl, &mut mem);
+        assert_eq!(mem.attempts, 4);
+        assert_eq!(core.stats().loads, 1, "the load issues on the step after the last release");
+        for now in 15..50 {
+            core.step(now, &mut wl, &mut mem);
+        }
         assert!(core.stats().retired >= 1);
+    }
+
+    #[test]
+    fn refused_entries_wait_for_a_release() {
+        // One MSHR, held by line 99: every store is refused.
+        let mut core = OooCore::new(CoreConfig::default());
+        let mut mem = Mshrs::new(1, &[], &[99]);
+        let mut wl = Script::new((10..30).map(store).collect());
+        for now in 0..20 {
+            core.step(now, &mut wl, &mut mem);
+        }
+        let mut lines: Vec<u64> = mem.offered.iter().map(|o| o.1.get()).collect();
+        let offered = lines.len();
+        lines.dedup();
+        assert_eq!(lines.len(), offered, "no line is offered twice without a release");
+        assert!(offered >= 8, "every dispatched store is offered once, got {offered}");
+        assert_eq!(core.stats().stores, 0);
+        assert_eq!(core.next_event(20), Some(20), "a blocked store keeps the core stepping");
+        // Free the entry: the oldest blocked store takes it, the rest are
+        // refused again, in program order.
+        mem.release(99);
+        core.step(20, &mut wl, &mut mem);
+        let retried: Vec<u64> = mem.offered_at(20).iter().map(|o| o.0).collect();
+        assert_eq!(retried, (10..10 + offered as u64).collect::<Vec<_>>());
+        assert_eq!(core.stats().stores, 1);
+    }
+
+    #[test]
+    fn unblocking_restores_program_order() {
+        // Load 1 hits; load 2 (line 200) waits on it; store 3 (line 300)
+        // is refused at cycle 1, load 2 only at cycle 2, once its address
+        // resolves. Both are blocked, in reverse program order.
+        let mut core = OooCore::new(CoreConfig::default());
+        let mut mem = Mshrs::new(0, &[1], &[]);
+        let mut wl = Script::new(vec![load(1, 1, None), load(200, 2, Some(1)), store(300)]);
+        for now in 0..10 {
+            core.step(now, &mut wl, &mut mem);
+        }
+        assert_eq!(mem.offered_at(1), vec![(1, false), (300, true)]);
+        assert_eq!(mem.offered_at(2), vec![(200, false)]);
+        assert_eq!(mem.offered.len(), 3);
+        mem.cap = 2;
+        mem.releases += 1;
+        core.step(10, &mut wl, &mut mem);
+        assert_eq!(mem.offered_at(10), vec![(200, false), (300, true)]);
+        assert_eq!((core.stats().loads, core.stats().stores), (2, 1));
+    }
+
+    #[test]
+    fn blocked_stores_do_not_use_issue_width() {
+        // One MSHR, held by line 99. Stores to lines 10-12 are refused;
+        // a store hitting line 1 and one merging into line 99's entry
+        // still issue, two per cycle, and the refused ones are not
+        // offered again.
+        let mut core = OooCore::new(CoreConfig::default());
+        let mut mem = Mshrs::new(1, &[1], &[99]);
+        let ops = [10, 11, 12, 1, 99, 1, 99];
+        let mut wl = Script::new(ops.into_iter().map(store).collect());
+        for now in 0..2 {
+            core.step(now, &mut wl, &mut mem);
+        }
+        assert_eq!(
+            mem.offered_at(1),
+            vec![(10, true), (11, true), (12, true), (1, true)],
+            "the hit issues behind three refusals"
+        );
+        core.step(2, &mut wl, &mut mem);
+        assert_eq!(mem.offered_at(2), vec![(99, true), (1, true)], "blocked stores are skipped");
+        core.step(3, &mut wl, &mut mem);
+        assert_eq!(mem.offered_at(3), vec![(99, true)]);
+        assert_eq!(core.stats().stores, 4);
+        assert_eq!(core.attention_stores, 0);
+        assert_eq!(core.blocked_stores, 3);
+    }
+
+    #[test]
+    fn mlp_bound_exit_fires_when_every_store_is_blocked() {
+        // max_outstanding 1 and one MSHR. Cycle 1 issues load 1 (hit)
+        // and load 2 (miss, taking the MSHR and the only load slot); at
+        // cycle 2 the store is refused, after which loads are MLP-bound
+        // and no store is pending, so the scan stops before load 4
+        // resolves its dependence.
+        let cfg = CoreConfig { max_outstanding: 1, ..CoreConfig::default() };
+        let mut core = OooCore::new(cfg);
+        let mut mem = Mshrs::new(1, &[5], &[]);
+        let mut wl =
+            Script::new(vec![load(5, 1, None), load(50, 2, None), store(60), load(70, 4, Some(1))]);
+        for now in 0..3 {
+            core.step(now, &mut wl, &mut mem);
+        }
+        assert_eq!(mem.offered_at(2), vec![(60, true)]);
+        assert_eq!((core.attention_stores, core.blocked_stores), (0, 1));
+        let waiting = core
+            .rob
+            .iter()
+            .any(|e| matches!(e, Entry::Load { id: LoadId(4), state: LoadState::WaitDep(_), .. }));
+        assert!(waiting, "the scan must stop before load 4");
+        for now in 3..10 {
+            core.step(now, &mut wl, &mut mem);
+        }
+        assert_eq!(mem.offered.len(), 3, "nothing is offered while the store is blocked");
+        // The fill frees the MSHR and the load slot: the store issues.
+        mem.release(50);
+        core.on_fill(10, LoadId(2));
+        core.release_slot();
+        core.step(10, &mut wl, &mut mem);
+        assert_eq!(mem.offered_at(10), vec![(60, true), (70, false)]);
+        assert_eq!(core.stats().stores, 1);
     }
 
     #[test]

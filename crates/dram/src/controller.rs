@@ -296,18 +296,6 @@ impl MemController {
         !self.ingress.is_full()
     }
 
-    /// Test-only convenience wrapper that allocates a fresh completion
-    /// vector per cycle. Production callers use
-    /// [`MemController::step_into`] with a reused buffer — the per-cycle
-    /// allocation measurably costs throughput at simulation scale, which
-    /// is why no public allocating form exists.
-    #[cfg(test)]
-    pub(crate) fn step_vec(&mut self, now: Cycle) -> Vec<Completion> {
-        let mut out = Vec::new();
-        self.step_into(now, &mut out);
-        out
-    }
-
     /// Advances the controller one cycle, appending accesses whose data
     /// burst completed this cycle to `out`.
     pub fn step_into(&mut self, now: Cycle, out: &mut Vec<Completion>) {
@@ -771,7 +759,7 @@ mod tests {
     /// class, returning bytes completed over `cycles`.
     fn saturate_reads(mc: &mut MemController, cycles: u64) -> u64 {
         let mut line = 0u64;
-        let mut bytes = 0;
+        let mut done = Vec::new();
         for now in 0..cycles {
             while mc.can_accept() {
                 let ok = mc.push(MemReq {
@@ -785,9 +773,9 @@ mod tests {
                 }
                 line += 1;
             }
-            bytes += mc.step_vec(now).len() as u64 * LINE_BYTES;
+            mc.step_into(now, &mut done);
         }
-        bytes
+        done.len() as u64 * LINE_BYTES
     }
 
     #[test]
@@ -812,7 +800,7 @@ mod tests {
         let stride_lines = cfg.lines_per_row * cfg.banks as u64; // same bank, next row
         let mut cnf = mc(ArbiterMode::Fcfs, &[1]);
         let mut i = 0u64;
-        let mut bytes = 0;
+        let mut done = Vec::new();
         for now in 0..20_000u64 {
             while cnf.can_accept() {
                 if cnf
@@ -828,8 +816,9 @@ mod tests {
                 }
                 i += 1;
             }
-            bytes += cnf.step_vec(now).len() as u64 * LINE_BYTES;
+            cnf.step_into(now, &mut done);
         }
+        let bytes = done.len() as u64 * LINE_BYTES;
         assert!(
             (bytes as f64) < 0.4 * seq_bytes as f64,
             "bank conflicts ({bytes}) must be far below sequential ({seq_bytes})"
@@ -840,7 +829,7 @@ mod tests {
     fn completions_conserve_requests() {
         let mut m = mc(ArbiterMode::Edf, &[1, 1]);
         let mut pushed = 0u64;
-        let mut completed = 0u64;
+        let mut done = Vec::new();
         for now in 0..5_000u64 {
             if now < 1_000 && m.can_accept() {
                 m.push(MemReq {
@@ -852,16 +841,16 @@ mod tests {
                 .unwrap();
                 pushed += 1;
             }
-            completed += m.step_vec(now).len() as u64;
+            m.step_into(now, &mut done);
         }
         // Drain fully.
         let mut now = 5_000u64;
         while m.pending() > 0 {
-            completed += m.step_vec(now).len() as u64;
+            m.step_into(now, &mut done);
             now += 1;
             assert!(now < 1_000_000, "controller failed to drain");
         }
-        assert_eq!(pushed, completed);
+        assert_eq!(pushed, done.len() as u64);
     }
 
     /// Closed-loop driver: each class keeps a fixed number of requests
@@ -869,6 +858,7 @@ mod tests {
     /// Returns per-class completed read counts.
     fn closed_loop(m: &mut MemController, tokens_per_class: usize, cycles: u64) -> [u64; 2] {
         let mut x = 0xdeadbeefu64;
+        let mut done = Vec::new();
         let mut served = [0u64; 2];
         let mut to_issue = [tokens_per_class; 2];
         for now in 0..cycles {
@@ -888,9 +878,10 @@ mod tests {
                     to_issue[c] -= 1;
                 }
             }
-            for done in m.step_vec(now) {
-                served[done.class.index()] += 1;
-                to_issue[done.class.index()] += 1;
+            m.step_into(now, &mut done);
+            for d in done.drain(..) {
+                served[d.class.index()] += 1;
+                to_issue[d.class.index()] += 1;
             }
         }
         served
@@ -905,6 +896,7 @@ mod tests {
     ) -> [u64; 2] {
         let cfg = DramConfig::default();
         let row_stride = cfg.lines_per_row * cfg.banks as u64; // bank 0, next row
+        let mut done = Vec::new();
         let mut served = [0u64; 2];
         let mut to_issue = [tokens_per_class; 2];
         let mut next_row = [0u64, 1 << 20];
@@ -925,9 +917,10 @@ mod tests {
                     to_issue[c] -= 1;
                 }
             }
-            for done in m.step_vec(now) {
-                served[done.class.index()] += 1;
-                to_issue[done.class.index()] += 1;
+            m.step_into(now, &mut done);
+            for d in done.drain(..) {
+                served[d.class.index()] += 1;
+                to_issue[d.class.index()] += 1;
             }
         }
         served
@@ -957,6 +950,7 @@ mod tests {
             let mut issued_at: Option<Cycle> = None;
             let mut lat_sum = 0u64;
             let mut lat_n = 0u64;
+            let mut done = Vec::new();
             for now in 0..60_000u64 {
                 // Sparse class 0: issue one random read when idle.
                 if issued_at.is_none() {
@@ -987,8 +981,9 @@ mod tests {
                     }
                     stream_line += 1;
                 }
-                for done in m.step_vec(now) {
-                    if done.token == 777 {
+                m.step_into(now, &mut done);
+                for d in done.drain(..) {
+                    if d.token == 777 {
                         lat_sum += now - issued_at.expect("chaser was outstanding");
                         lat_n += 1;
                         issued_at = None;
@@ -1021,6 +1016,7 @@ mod tests {
     fn fcfs_ignores_shares() {
         let mut m = mc(ArbiterMode::Fcfs, &[3, 1]);
         let mut x = 7u64;
+        let mut done = Vec::new();
         let mut served = [0u64; 2];
         for now in 0..60_000u64 {
             let first = (now % 2) as u8;
@@ -1033,7 +1029,8 @@ mod tests {
                     token: 0,
                 });
             }
-            for c in m.step_vec(now) {
+            m.step_into(now, &mut done);
+            for c in done.drain(..) {
                 served[c.class.index()] += 1;
             }
         }
@@ -1045,9 +1042,11 @@ mod tests {
     fn saturation_signal_tracks_load() {
         let mut m = mc(ArbiterMode::Fcfs, &[1]);
         // Idle epoch: no saturation.
+        let mut done = Vec::new();
         for now in 0..2_000 {
-            m.step_vec(now);
+            m.step_into(now, &mut done);
         }
+        assert!(done.is_empty());
         assert!(!m.take_epoch_sat());
         // Flooded epoch: saturated.
         let _ = saturate_reads(&mut m, 5_000);
@@ -1060,6 +1059,7 @@ mod tests {
         // Fill write queue past the high watermark.
         let mut now = 0u64;
         let mut queued = 0;
+        let mut done = Vec::new();
         while queued < 30 {
             if m.push(MemReq {
                 line: LineAddr::new(queued * 33),
@@ -1071,15 +1071,18 @@ mod tests {
             {
                 queued += 1;
             }
-            m.step_vec(now);
+            m.step_into(now, &mut done);
             now += 1;
         }
-        let mut writes_done = 0;
         for _ in 0..20_000 {
-            writes_done += m.step_vec(now).iter().filter(|c| c.is_write).count();
+            m.step_into(now, &mut done);
             now += 1;
         }
-        assert_eq!(writes_done, 30, "all writes must eventually drain");
+        assert_eq!(
+            done.iter().filter(|c| c.is_write).count(),
+            30,
+            "all writes must eventually drain"
+        );
     }
 
     #[test]
@@ -1093,16 +1096,14 @@ mod tests {
                 .unwrap();
         }
         m.push(MemReq { line: LineAddr::new(1), class: q(0), is_write: false, token: 99 }).unwrap();
-        let warm = 0;
-        let mut first: Option<Completion> = None;
-        let mut now = warm;
-        while first.is_none() {
-            let done = m.step_vec(now);
-            first = done.into_iter().next();
+        let mut done = Vec::new();
+        let mut now = 0;
+        while done.is_empty() {
+            m.step_into(now, &mut done);
             now += 1;
             assert!(now < 10_000);
         }
-        let first = first.unwrap();
+        let first = done[0];
         assert!(!first.is_write, "read must complete first, got {first:?}");
     }
 
@@ -1132,7 +1133,7 @@ mod tests {
         let mut slow = MemController::new(slow_cfg, ArbiterMode::Fcfs, &shares(&[1]), 128);
         let slow_bytes = {
             let mut line = 0u64;
-            let mut bytes = 0;
+            let mut done = Vec::new();
             for now in 0..30_000u64 {
                 while slow.can_accept() {
                     if slow
@@ -1148,9 +1149,9 @@ mod tests {
                     }
                     line += 1;
                 }
-                bytes += slow.step_vec(now).len() as u64 * LINE_BYTES;
+                slow.step_into(now, &mut done);
             }
-            bytes
+            done.len() as u64 * LINE_BYTES
         };
         let ratio = fast_bytes as f64 / slow_bytes as f64;
         assert!((ratio - 4.0).abs() < 0.5, "expected ~4x, got {ratio}");
@@ -1159,7 +1160,7 @@ mod tests {
     #[test]
     fn per_class_byte_accounting_sums_to_total() {
         let mut m = mc(ArbiterMode::Edf, &[2, 1]);
-        let mut total = 0u64;
+        let mut done = Vec::new();
         for now in 0..10_000u64 {
             for c in 0..2u8 {
                 let _ = m.push(MemReq {
@@ -1169,10 +1170,10 @@ mod tests {
                     token: 0,
                 });
             }
-            total += m.step_vec(now).len() as u64 * LINE_BYTES;
+            m.step_into(now, &mut done);
         }
         let s = m.stats();
-        assert_eq!(s.bytes.iter().sum::<u64>(), total);
+        assert_eq!(s.bytes.iter().sum::<u64>(), done.len() as u64 * LINE_BYTES);
     }
 
     #[test]
@@ -1265,6 +1266,7 @@ mod tests {
         })
         .unwrap();
         let mut hit_line = 0u64;
+        let mut done = Vec::new();
         let mut completed_victim_at = None;
         for now in 0..10_000u64 {
             // Keep bank 0 row 0 hits flowing.
@@ -1281,7 +1283,8 @@ mod tests {
                 }
                 hit_line += 1;
             }
-            if m.step_vec(now).iter().any(|c| c.token == 4242) {
+            m.step_into(now, &mut done);
+            if done.drain(..).any(|c| c.token == 4242) {
                 completed_victim_at = Some(now);
                 break;
             }
@@ -1306,6 +1309,7 @@ mod fqm_tests {
         let shares = ShareTable::from_weights(&[1, 1]).unwrap();
         let mut m = MemController::new(DramConfig::default(), mode, &shares, 128);
         let cfg = DramConfig::default();
+        let mut done = Vec::new();
         let mut served = [0u64; 2];
         let mut to_issue = [12usize; 2];
         let mut hit_line = 0u64;
@@ -1338,9 +1342,10 @@ mod fqm_tests {
                     to_issue[c] -= 1;
                 }
             }
-            for done in m.step_vec(now) {
-                served[done.class.index()] += 1;
-                to_issue[done.class.index()] += 1;
+            m.step_into(now, &mut done);
+            for d in done.drain(..) {
+                served[d.class.index()] += 1;
+                to_issue[d.class.index()] += 1;
             }
         }
         served
@@ -1370,6 +1375,7 @@ mod fqm_tests {
         let mut m = MemController::new(DramConfig::default(), ArbiterMode::Fqm, &shares, 128);
         let cfg = DramConfig::default();
         let row_stride = cfg.lines_per_row * cfg.banks as u64;
+        let mut done = Vec::new();
         let mut served = [0u64; 2];
         let mut to_issue = [12usize; 2];
         let mut next_row = [0u64, 1 << 20];
@@ -1390,9 +1396,10 @@ mod fqm_tests {
                     to_issue[c] -= 1;
                 }
             }
-            for done in m.step_vec(now) {
-                served[done.class.index()] += 1;
-                to_issue[done.class.index()] += 1;
+            m.step_into(now, &mut done);
+            for d in done.drain(..) {
+                served[d.class.index()] += 1;
+                to_issue[d.class.index()] += 1;
             }
         }
         let ratio = served[0] as f64 / served[1] as f64;
@@ -1411,8 +1418,9 @@ mod latency_tests {
         m.push(MemReq { line: LineAddr::new(0), class: QosId::new(0), is_write: false, token: 1 })
             .unwrap();
         let mut now = 0;
+        let mut done = Vec::new();
         while m.pending() > 0 {
-            m.step_vec(now);
+            m.step_into(now, &mut done);
             now += 1;
             assert!(now < 10_000);
         }
@@ -1429,6 +1437,7 @@ mod latency_tests {
         let run = |offered_per_cycle: usize| -> f64 {
             let mut m = MemController::new(DramConfig::default(), ArbiterMode::Fcfs, &shares, 128);
             let mut line = 0u64;
+            let mut done = Vec::new();
             for now in 0..30_000u64 {
                 for _ in 0..offered_per_cycle {
                     let _ = m.push(MemReq {
@@ -1439,7 +1448,7 @@ mod latency_tests {
                     });
                     line += 1;
                 }
-                m.step_vec(now);
+                m.step_into(now, &mut done);
             }
             m.stats().mean_read_latency(QosId::new(0)).unwrap_or(0.0)
         };
@@ -1448,6 +1457,7 @@ mod latency_tests {
             let mut m = MemController::new(DramConfig::default(), ArbiterMode::Fcfs, &shares, 128);
             let mut outstanding = false;
             let mut line = 0u64;
+            let mut done = Vec::new();
             for now in 0..30_000u64 {
                 if !outstanding {
                     let _ = m.push(MemReq {
@@ -1459,7 +1469,8 @@ mod latency_tests {
                     line += 1;
                     outstanding = true;
                 }
-                if !m.step_vec(now).is_empty() {
+                m.step_into(now, &mut done);
+                if done.drain(..).next().is_some() {
                     outstanding = false;
                 }
             }

@@ -69,6 +69,9 @@ pub struct TileMem {
     /// Recycled waiter buffer for [`TileMem::on_fill`] (no per-fill
     /// allocation on the response hot path).
     fill_scratch: Vec<L2Waiter>,
+    /// MSHR entries completed so far ([`MemPort::releases`]): the only
+    /// event that can turn an MSHR-full refusal into an acceptance.
+    releases: u64,
 }
 
 impl TileMem {
@@ -104,6 +107,7 @@ impl TileMem {
             l2_lat,
             l2_wb_q: VecDeque::new(),
             fill_scratch: Vec::new(),
+            releases: 0,
         }
     }
 
@@ -128,6 +132,9 @@ impl TileMem {
         let mut waiters = std::mem::take(&mut self.fill_scratch);
         waiters.clear();
         self.mshrs.complete_into(line, &mut waiters);
+        if !waiters.is_empty() {
+            self.releases += 1;
+        }
         let dirty = waiters.iter().any(|w| w.store);
         if let Some(ev) = self.l2.fill(line, self.class, dirty) {
             if ev.dirty {
@@ -285,6 +292,10 @@ impl MemPort for TileMem {
             MshrOutcome::Secondary => Access::Miss,
             MshrOutcome::Full => Access::Stall,
         }
+    }
+
+    fn releases(&self) -> u64 {
+        self.releases
     }
 }
 
@@ -501,6 +512,161 @@ mod tests {
             m.on_fill(l);
         }
         assert_eq!(m.access(3, line(3), false, LoadId(5)), Access::Hit(14));
+    }
+
+    /// A [`TileMem`] port that logs accepted accesses. With
+    /// `retry_every_step` its release count moves on every call, so the
+    /// core retries each refused access on every step, as it did before
+    /// refusals waited for a release.
+    struct Logged {
+        mem: TileMem,
+        retry_every_step: bool,
+        calls: std::cell::Cell<u64>,
+        refused: u64,
+        accepted: Vec<(Cycle, LineAddr, bool)>,
+    }
+
+    impl MemPort for Logged {
+        fn access(&mut self, now: Cycle, line: LineAddr, store: bool, id: LoadId) -> Access {
+            let r = self.mem.access(now, line, store, id);
+            match r {
+                Access::Stall => self.refused += 1,
+                _ => self.accepted.push((now, line, store)),
+            }
+            r
+        }
+
+        fn releases(&self) -> u64 {
+            if self.retry_every_step {
+                self.calls.set(self.calls.get() + 1);
+                self.calls.get()
+            } else {
+                self.mem.releases()
+            }
+        }
+    }
+
+    /// Seeded compute, independent-load, dependent-load and store mix
+    /// over `lines` lines.
+    struct Mix {
+        rng: pabst_simkit::rng::SimRng,
+        lines: u64,
+        stores: u64,
+        next_id: u64,
+    }
+
+    impl Workload for Mix {
+        fn next_op(&mut self) -> pabst_cpu::Op {
+            use pabst_cpu::Op;
+            let addr = pabst_cache::Addr::new(self.rng.gen_range(0..self.lines) * 64);
+            match self.rng.gen_range(0..8) {
+                0 => Op::Compute(1 + self.rng.gen_range(0..4) as u32),
+                k if k <= self.stores => Op::Store { addr },
+                k => {
+                    self.next_id += 1;
+                    let dep = (k == 7 && self.next_id > 1).then(|| LoadId(self.next_id - 1));
+                    Op::Load { addr, id: LoadId(self.next_id), dep }
+                }
+            }
+        }
+        fn name(&self) -> &str {
+            "mix"
+        }
+    }
+
+    /// One cycle's injection queue and the lines holding an MSHR.
+    type Queues = (Vec<(LineAddr, bool)>, Vec<u64>);
+    /// One fill: its cycle, line and waiters.
+    type Fill = (Cycle, LineAddr, Vec<(Option<LoadId>, bool)>);
+
+    /// Everything the port contract must leave unchanged.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Outcome {
+        stats: pabst_cpu::CoreStats,
+        accepted: Vec<(Cycle, LineAddr, bool)>,
+        queues: Vec<Queues>,
+        fills: Vec<Fill>,
+        writebacks: Vec<LineAddr>,
+    }
+
+    /// Drives one core against a tile with 2-4 MSHRs and a seeded pacer,
+    /// returning each fill a seeded latency after injection. Returns the
+    /// outcome plus the refusals the core saw.
+    fn drive(seed: u64, retry_every_step: bool) -> (Outcome, u64) {
+        let mut rng = pabst_simkit::rng::SimRng::seed_from_u64(seed);
+        let mshrs = 2 + rng.gen_range(0..3) as usize;
+        let lines = 16 + rng.gen_range(0..240);
+        let pacer = Pacer::with_burst(rng.gen_range(0..12), 2);
+        let max_lat = 1 + rng.gen_range(0..200);
+        let stores = 1 + rng.gen_range(0..5);
+        let mut port = Logged {
+            mem: TileMem::new(
+                QosId::new(0),
+                SetAssocCache::new(CacheConfig { sets: 8, ways: 2 }),
+                SetAssocCache::new(CacheConfig { sets: 32, ways: 4 }),
+                mshrs,
+                4,
+                14,
+                vec![pacer],
+                4,
+                ChannelMap::XorFold,
+            ),
+            retry_every_step,
+            calls: std::cell::Cell::new(0),
+            refused: 0,
+            accepted: Vec::new(),
+        };
+        let mut core = OooCore::new(pabst_cpu::CoreConfig::default());
+        let ops = pabst_simkit::rng::SimRng::seed_from_u64(rng.next_u64());
+        let mut wl = Mix { rng: ops, lines, stores, next_id: 0 };
+        let mut inflight: Vec<(Cycle, LineAddr)> = Vec::new();
+        let (mut queues, mut fills, mut writebacks) = (Vec::new(), Vec::new(), Vec::new());
+        for now in 0..3000 {
+            while let Some(i) = inflight.iter().position(|&(due, _)| due == now) {
+                let (_, line) = inflight.remove(i);
+                let waiters: Vec<_> =
+                    port.mem.on_fill(line).iter().map(|w| (w.load, w.store)).collect();
+                for &(id, _) in &waiters {
+                    if let Some(id) = id {
+                        core.on_fill(now, id);
+                        core.release_slot();
+                    }
+                }
+                fills.push((now, line, waiters));
+                while let Some(wb) = port.mem.pop_l2_writeback() {
+                    writebacks.push(wb);
+                }
+            }
+            if let Some(req) = port.mem.try_inject(now) {
+                inflight.push((now + 1 + rng.gen_range(0..max_lat), req.line));
+            }
+            core.step(now, &mut wl, &mut port);
+            let q = port.mem.inject_q.iter().map(|r| (r.line, r.store)).collect();
+            let held = (0..lines).filter(|&l| port.mem.mshrs.contains(line(l))).collect();
+            queues.push((q, held));
+        }
+        let refused = port.refused;
+        let stats = core.stats();
+        (Outcome { stats, accepted: port.accepted, queues, fills, writebacks }, refused)
+    }
+
+    #[test]
+    fn waiting_for_a_release_matches_retrying_every_step() {
+        let (mut refused, mut retried) = (0, 0);
+        for seed in 0..24u64 {
+            let seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let (waits, r) = drive(seed, false);
+            let (retries, rr) = drive(seed, true);
+            assert_eq!(waits, retries, "seed {seed:#x}");
+            assert!(waits.stats.stores > 0 && waits.stats.loads > 0, "seed {seed:#x}");
+            refused += r;
+            retried += rr;
+        }
+        assert!(refused > 0, "the mixes must run the MSHRs full");
+        assert!(
+            retried > 10 * refused,
+            "retrying every step refuses far more: {retried} vs {refused}"
+        );
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! The matrix deliberately covers the paths where a wrong horizon would
 //! diverge: every regulation mode (pacer reprogramming on and off),
 //! pointer-chasing memory stalls (the deepest quiescent windows), write
-//! drains, skewed-controller traffic, per-MC regulation, L3-way
-//! overrides, an armed watchdog, the distance-modelled mesh network at
+//! drains, MSHR-full refusals of store-heavy traffic, skewed-controller
+//! traffic, per-MC regulation, L3-way overrides, an armed watchdog, the
+//! distance-modelled mesh network at
 //! 64 and 256 tiles (staged link arbitration), idle-heavy mesh mixes
 //! where tile-local parking (not the global jump) does the work, partial
 //! skip under the DPQ arbiter (some tiles parked while others keep the
@@ -183,6 +184,20 @@ fn cells() -> Vec<Cell> {
                 SystemBuilder::new(c, RegulationMode::Pabst)
                     .class(3, skewed(2, 2, 9))
                     .class(1, streams(2, 109))
+            }),
+        ),
+        cell(
+            "per-mc-regulation/write-streams-2-mshrs",
+            Box::new(move || {
+                // Two L2 MSHRs under store-heavy traffic: cores run their
+                // MSHRs full, so refused accesses wait for a fill and are
+                // merged back, in both arms, while per-MC pacers throttle.
+                let mut c = two_mc();
+                c.per_mc_regulation = true;
+                c.l2_mshrs = 2;
+                SystemBuilder::new(c, RegulationMode::Pabst)
+                    .class(3, write_streams(2, 34))
+                    .class(1, streams(2, 134))
             }),
         ),
         cell(
