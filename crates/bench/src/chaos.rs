@@ -465,7 +465,7 @@ fn outcome_of(r: &ExperimentResult) -> Outcome {
 /// Renders the campaign report: outcome tallies (with the CI-grepped
 /// `unexpected` lines — failures outside the fixture), the full cell
 /// table, and a shrunk repro plan for every failing cell (capped at
-/// [`MAX_SHRINK_CELLS`]). Shrinking happens here, serially, by
+/// `MAX_SHRINK_CELLS`). Shrinking happens here, serially, by
 /// re-deriving each failing cell from its index and re-running it under
 /// candidate plans — renderers run after the sweep on one thread, so
 /// the minimized plans are identical at any `--jobs` count.

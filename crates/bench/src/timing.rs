@@ -15,7 +15,7 @@ use std::time::Instant;
 /// Number of timed samples per benchmark; the median is reported.
 const SAMPLES: usize = 9;
 
-/// Runs one benchmark: `iters` calls of `f` per sample, [`SAMPLES`]
+/// Runs one benchmark: `iters` calls of `f` per sample, `SAMPLES`
 /// samples after one warmup sample, printing `name: <median ns/iter>`.
 pub fn bench(name: &str, iters: u64, mut f: impl FnMut()) {
     let time_once = |f: &mut dyn FnMut()| {
@@ -32,7 +32,7 @@ pub fn bench(name: &str, iters: u64, mut f: impl FnMut()) {
     println!("{name:<40} {median:>12.1} ns/iter  ({iters} iters x {SAMPLES} samples)");
 }
 
-/// Like [`bench`], but rebuilds consumable state per sample: `setup`
+/// Like [`bench()`], but rebuilds consumable state per sample: `setup`
 /// produces a value, `f` consumes it while timed. One `f` call per
 /// sample (for coarse, whole-run benchmarks like a full simulated
 /// epoch).

@@ -251,7 +251,7 @@ impl GovernorKind {
 ///
 /// All governors in a system produce identical `M` sequences from identical
 /// inputs (the paper relies on this to avoid inter-governor communication);
-/// [`tests::lockstep_replicas_agree`] verifies it.
+/// the `lockstep_replicas_agree` unit test verifies it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemMonitor {
     cfg: MonitorConfig,

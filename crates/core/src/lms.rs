@@ -12,7 +12,7 @@
 //! loop anticipates periodic congestion instead of reacting one epoch
 //! late.
 //!
-//! All arithmetic is fixed-point integer ([`ONE`] = Q8 scale): the
+//! All arithmetic is fixed-point integer (`ONE` = Q8 scale): the
 //! governor sits on the simulated datapath (reachable from
 //! `System::advance`), where the workspace bans floating point. The
 //! fail-safe staleness policy — hold for `staleness_k` epochs, then decay

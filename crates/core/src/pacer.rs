@@ -199,7 +199,7 @@ impl Pacer {
     }
 
     /// The credit ceiling in cycles, `(burst - 1) × period`: the largest
-    /// clamped credit [`Pacer::clamp_credit`] may leave behind.
+    /// clamped credit `Pacer::clamp_credit` may leave behind.
     pub fn burst_window(&self) -> Cycle {
         (self.burst - 1).saturating_mul(self.period)
     }

@@ -42,8 +42,8 @@ use pabst_simkit::Cycle;
 ///   order (`seq` is strictly increasing across calls).
 /// * `on_picked` is called once per *read* data-bus grant; writes drain
 ///   unprioritized and are never reported.
-/// * `clock` must be monotonically nondecreasing per class (the epoch
-///   sanitizer verifies this through
+/// * `clock` must be monotonically nondecreasing per class (`System`'s
+///   epoch-boundary checks verify this through
 ///   [`crate::MemController::virtual_clock`]).
 /// * `next_event` follows the horizon contract: conservative answers are
 ///   fine, late ones are not. Arbiters whose priority state only changes
@@ -86,7 +86,7 @@ pub trait TargetArbiter: fmt::Debug {
 
     /// Current virtual-clock value of `id` — whatever monotone per-class
     /// progress notion the mechanism keeps, surfaced in
-    /// [`crate::McSnapshot::virtual_clocks`].
+    /// [`crate::controller::McSnapshot::virtual_clocks`].
     fn clock(&self, id: QosId) -> u64;
 
     /// Number of QoS classes the arbiter was built for.
@@ -422,7 +422,7 @@ const DPQ_REORDER_FACTOR: u64 = 64;
 ///
 /// In debug builds every read stamp records a service promise
 /// (`backlog + relative-deadline gap`, inflated by
-/// [`DPQ_REORDER_FACTOR`] for the controller's bounded non-priority
+/// `DPQ_REORDER_FACTOR` for the controller's bounded non-priority
 /// reordering) and every pick asserts the promise held.
 #[derive(Debug, Clone)]
 pub struct DpqArbiter {

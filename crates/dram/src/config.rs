@@ -9,7 +9,8 @@
 /// Timing and geometry of one memory controller + DRAM channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
-    /// Banks per channel.
+    /// Banks per channel: a power of two, at most 64 (the controller
+    /// keeps a 64-bit mask of the banks with queued work).
     pub banks: usize,
     /// Cache lines per DRAM row (row size / 64 B).
     pub lines_per_row: u64,
@@ -87,8 +88,8 @@ impl DramConfig {
     ///
     /// Returns a description of the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.banks == 0 || !self.banks.is_power_of_two() {
-            return Err("banks must be a non-zero power of two".into());
+        if self.banks == 0 || !self.banks.is_power_of_two() || self.banks > 64 {
+            return Err("banks must be a power of two from 1 to 64".into());
         }
         if self.lines_per_row == 0 || !self.lines_per_row.is_power_of_two() {
             return Err("lines_per_row must be a non-zero power of two".into());
@@ -150,6 +151,8 @@ mod tests {
     #[test]
     fn validation_catches_bad_geometry() {
         let c = DramConfig { banks: 3, ..DramConfig::default() };
+        assert!(c.validate().is_err());
+        let c = DramConfig { banks: 128, ..DramConfig::default() };
         assert!(c.validate().is_err());
         let mut c = DramConfig::default();
         c.wr_high = c.wr_low;

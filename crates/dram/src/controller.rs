@@ -77,14 +77,22 @@ pub struct Completion {
 struct QueuedReq {
     req: MemReq,
     deadline: VirtualDeadline,
-    seq: u64,
+    /// Priority key, smallest first: `(deadline, seq)`, or `(0, seq)`
+    /// under a priority-blind arbiter. `seq` is the acceptance number,
+    /// so no two keys tie.
+    key: (VirtualDeadline, u64),
     enq_at: Cycle,
-    /// Bank index of `req.line`, decoded once at acceptance. The issue
-    /// stage and the horizon scan visit every queued entry per cycle, and
-    /// the address-decode divisions dominate that walk if recomputed.
+    /// Bank index of `req.line`, decoded once at acceptance.
     bank: u32,
     /// Row index of `req.line`, decoded once at acceptance.
     row: u64,
+}
+
+impl QueuedReq {
+    /// Acceptance sequence number.
+    fn seq(&self) -> u64 {
+        self.key.1
+    }
 }
 
 #[derive(Debug)]
@@ -172,15 +180,117 @@ pub struct McSnapshot {
     pub virtual_clocks: Vec<u64>,
 }
 
-/// Per-bank scratch used by one back-end selection pass: the aged entry
-/// (starvation guard), else the priority winner and the first-ready (row
-/// hit) winner. Stored on the controller so the per-cycle pass reuses one
-/// allocation.
-#[derive(Debug, Clone, Copy, Default)]
-struct BankScratch {
-    aged: Option<(usize, Cycle)>,
-    prio: Option<(usize, (VirtualDeadline, u64))>,
-    fr: Option<(usize, (VirtualDeadline, u64))>,
+/// One front-end queue (reads or writes), indexed by bank.
+///
+/// Each bank keeps its entries in arrival order plus its cached issue
+/// nominees, so the back end compares one nominee per ready bank instead
+/// of walking the whole queue every cycle. Invariants, checked after
+/// every accept and issue in debug builds
+/// ([`MemController::nominees_fresh`]):
+///
+/// * `len` is the total entry count over all banks, at most `cap`;
+/// * bit `b` of `occupied` is set exactly when bank `b` has entries;
+/// * a bank's list is in acceptance order, so its head is the bank's
+///   oldest entry — the only one that can pass the age cap first;
+/// * `prio` is the position of the bank's smallest key (meaningful
+///   only while the list is non-empty);
+/// * `hit` is the position of the smallest key among the entries on
+///   the bank's open row, or `None` when none is on it.
+///
+/// A push updates its bank's nominees incrementally; a removal or a
+/// change of the bank's open row rescans that one bank.
+#[derive(Debug)]
+struct FrontQueue {
+    banks: Vec<BankQueue>,
+    len: usize,
+    cap: usize,
+    occupied: u64,
+}
+
+#[derive(Debug, Default)]
+struct BankQueue {
+    entries: Vec<QueuedReq>,
+    prio: usize,
+    hit: Option<usize>,
+}
+
+impl BankQueue {
+    /// `(prio, hit)` by a fresh scan of the list.
+    fn scan(&self, open_row: Option<u64>) -> (usize, Option<usize>) {
+        let mut prio = 0;
+        let mut hit: Option<usize> = None;
+        for (i, e) in self.entries.iter().enumerate() {
+            if e.key < self.entries[prio].key {
+                prio = i;
+            }
+            if open_row == Some(e.row) && hit.is_none_or(|h| e.key < self.entries[h].key) {
+                hit = Some(i);
+            }
+        }
+        (prio, hit)
+    }
+}
+
+impl FrontQueue {
+    fn new(cap: usize, banks: usize) -> Self {
+        let banks = (0..banks).map(|_| BankQueue::default()).collect();
+        Self { banks, len: 0, cap, occupied: 0 }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn is_full(&self) -> bool {
+        self.len >= self.cap
+    }
+
+    /// Appends a newly accepted entry; `open_row` is its bank's open row.
+    fn push(&mut self, e: QueuedReq, open_row: Option<u64>) {
+        debug_assert!(!self.is_full(), "fullness checked by the caller");
+        let bq = &mut self.banks[e.bank as usize];
+        let pos = bq.entries.len();
+        if pos == 0 || e.key < bq.entries[bq.prio].key {
+            bq.prio = pos;
+        }
+        if open_row == Some(e.row) && bq.hit.is_none_or(|h| e.key < bq.entries[h].key) {
+            bq.hit = Some(pos);
+        }
+        bq.entries.push(e);
+        self.len += 1;
+        self.occupied |= 1 << e.bank;
+    }
+
+    /// Removes entry `pos` of bank `b`. The bank's nominees are stale
+    /// until [`FrontQueue::renominate`].
+    fn take(&mut self, b: usize, pos: usize) -> QueuedReq {
+        let entries = &mut self.banks[b].entries;
+        let e = entries.remove(pos);
+        if entries.is_empty() {
+            self.occupied &= !(1 << b);
+        }
+        self.len -= 1;
+        e
+    }
+
+    /// Recomputes bank `b`'s nominees against its open row.
+    fn renominate(&mut self, b: usize, open_row: Option<u64>) {
+        let bq = &mut self.banks[b];
+        (bq.prio, bq.hit) = bq.scan(open_row);
+    }
+}
+
+/// The set bits of `mask`, lowest first.
+fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let b = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (b < 64).then_some(b)
+    })
 }
 
 /// A completed column access whose data burst awaits the bus.
@@ -198,8 +308,8 @@ struct PendingBurst {
 pub struct MemController {
     cfg: DramConfig,
     ingress: BoundedQueue<MemReq>,
-    read_q: BoundedQueue<QueuedReq>,
-    write_q: BoundedQueue<QueuedReq>,
+    read_q: FrontQueue,
+    write_q: FrontQueue,
     banks: Vec<Bank>,
     arbiter: Box<dyn TargetArbiter>,
     satmon: SatMonitor,
@@ -216,16 +326,13 @@ pub struct MemController {
     /// into backpressure.
     ingress_rejects: u64,
     /// Requests accepted at the ingress (inflow side of the conservation
-    /// invariant the sanitizer checks each epoch).
+    /// invariant checked at every epoch boundary).
     accepted: u64,
     /// Max cycles a bank-queue entry may wait before overriding row-hit
     /// preference (starvation guard).
     age_cap: Cycle,
     /// Max consecutive row-hit bypasses of the priority-order winner.
     max_hit_streak: u32,
-    /// Reused per-bank scratch for [`MemController::issue_one`]'s single
-    /// pass over the front-end queue (avoids a per-cycle allocation).
-    issue_scratch: Vec<BankScratch>,
 }
 
 impl MemController {
@@ -247,8 +354,8 @@ impl MemController {
             (0..cfg.banks).map(|_| Bank { open_row: None, rdy: 0, hit_streak: 0 }).collect();
         Self {
             ingress: BoundedQueue::new(cfg.ingress_cap),
-            read_q: BoundedQueue::new(cfg.read_q_cap),
-            write_q: BoundedQueue::new(cfg.write_q_cap),
+            read_q: FrontQueue::new(cfg.read_q_cap, cfg.banks),
+            write_q: FrontQueue::new(cfg.write_q_cap, cfg.banks),
             banks,
             arbiter: mode.build(shares, slack, cfg.banks),
             satmon: SatMonitor::new(cfg.read_q_cap),
@@ -267,7 +374,6 @@ impl MemController {
             // low-share queueing delay.
             age_cap: 10_000,
             max_hit_streak: 3,
-            issue_scratch: Vec::new(),
             cfg,
         }
     }
@@ -348,17 +454,16 @@ impl MemController {
         }
         let mut h = Horizon::new();
         if let Some(head) = self.ingress.peek() {
-            let target_full =
-                if head.is_write { self.write_q.is_full() } else { self.read_q.is_full() };
-            if !target_full {
+            if !self.front(head.is_write).is_full() {
                 return Some(now);
             }
         }
         if self.awaiting_bus.len() < self.cfg.data_buf_cap {
-            // Both queues contribute regardless of the current drain
-            // mode: conservative, never late.
-            for e in self.read_q.iter().chain(self.write_q.iter()) {
-                let rdy = self.banks[e.bank as usize].rdy;
+            // Every bank with queued work contributes, in either queue
+            // and regardless of the current drain mode: conservative,
+            // never late.
+            for b in set_bits(self.read_q.occupied | self.write_q.occupied) {
+                let rdy = self.banks[b].rdy;
                 if rdy <= now {
                     return Some(now);
                 }
@@ -418,14 +523,17 @@ impl MemController {
 
     /// Requests accepted at the ingress so far. At any instant
     /// `accepted == completed reads + completed writes + pending()` — the
-    /// conservation invariant the epoch sanitizer verifies.
+    /// conservation invariant that `System`'s epoch-boundary checks (the
+    /// release-mode invariant checker, and the sanitizer in debug builds)
+    /// verify.
     pub fn accepted(&self) -> u64 {
         self.accepted
     }
 
     /// Current virtual-clock value of `id`'s class in the priority
     /// arbiter. Monotonically nondecreasing (stamps advance it; the slack
-    /// floor only ever raises it), which the epoch sanitizer verifies.
+    /// floor only ever raises it), which `System`'s epoch-boundary checks
+    /// verify.
     pub fn virtual_clock(&self, id: QosId) -> u64 {
         self.arbiter.clock(id)
     }
@@ -490,8 +598,7 @@ impl MemController {
         // system" when the target is oversubscribed (Fig. 1b).
         while let Some(head) = self.ingress.peek() {
             let is_write = head.is_write;
-            let target_full = if is_write { self.write_q.is_full() } else { self.read_q.is_full() };
-            if target_full {
+            if self.front(is_write).is_full() {
                 break;
             }
             let req = self.ingress.pop().expect("peeked entry exists");
@@ -501,11 +608,12 @@ impl MemController {
             let row = cols / self.cfg.banks as u64;
             // The arbiter stamps every accepted request; priority policy
             // (and whether writes carry any) lives behind the seam.
-            let backlog = if is_write { self.write_q.len() } else { self.read_q.len() };
-            let deadline = self.arbiter.stamp(req.class, is_write, self.seq, bank, backlog);
-            let q = QueuedReq { req, deadline, seq: self.seq, enq_at: now, bank, row };
-            let res = if is_write { self.write_q.push(q) } else { self.read_q.push(q) };
-            debug_assert!(res.is_ok(), "fullness checked above");
+            let q = if is_write { &mut self.write_q } else { &mut self.read_q };
+            let deadline = self.arbiter.stamp(req.class, is_write, self.seq, bank, q.len());
+            let prio = if self.arbiter.uses_deadlines() { deadline } else { VirtualDeadline(0) };
+            let e = QueuedReq { req, deadline, key: (prio, self.seq), enq_at: now, bank, row };
+            q.push(e, self.banks[bank as usize].open_row);
+            debug_assert!(self.nominees_fresh(), "stale nominees after accept");
         }
     }
 
@@ -540,97 +648,95 @@ impl MemController {
     /// Selects and issues one request from the chosen front-end queue.
     /// Returns whether anything issued.
     fn issue_one(&mut self, now: Cycle, from_writes: bool) -> bool {
-        let q = if from_writes { &self.write_q } else { &self.read_q };
-        if q.is_empty() {
+        let Some((b, pos, bypass)) = self.pick(now, from_writes) else {
             return false;
-        }
-        let banks = &self.banks;
-        // Every queue entry whose bank is still timing-blocked is skipped
-        // below; when no bank can start a command at all, the whole scan
-        // is a guaranteed no-op, and checking the (few) banks is cheaper
-        // than walking the (many) queued requests.
-        if !banks.iter().any(|b| b.rdy <= now) {
-            return false;
-        }
-        let deadlines = self.arbiter.uses_deadlines();
-        let prio_key = |e: &QueuedReq| {
-            if deadlines {
-                (e.deadline, e.seq)
-            } else {
-                (VirtualDeadline(0), e.seq)
-            }
         };
+        let bank = &mut self.banks[b];
+        bank.hit_streak = if bypass { bank.hit_streak + 1 } else { 0 };
+        let e = self.front_mut(from_writes).take(b, pos);
+        let open_row = Some(e.row);
+        let row_change = self.banks[b].open_row != open_row;
+        self.issue_to_bank(b, e, now);
+        // The issued queue lost an entry; on a row change the other
+        // queue's row-hit nominee for this bank moves too.
+        self.front_mut(from_writes).renominate(b, open_row);
+        if row_change {
+            self.front_mut(!from_writes).renominate(b, open_row);
+        }
+        debug_assert!(self.nominees_fresh(), "stale nominees after issue");
+        true
+    }
 
-        // Per ready bank: the aged entry (starvation guard), else the
-        // priority winner and the first-ready (row hit) winner — all
-        // gathered in a single pass over the queue with per-bank scratch
-        // (persistent across cycles, see `issue_scratch`).
-        let scratch = &mut self.issue_scratch;
-        scratch.clear();
-        scratch.resize(banks.len(), BankScratch::default());
-        for (i, e) in q.iter().enumerate() {
-            let b = e.bank as usize;
-            let bank = &banks[b];
+    /// The back end's choice from one front-end queue, as `(bank,
+    /// position in the bank's list, row-hit bypass)`, or `None` when no
+    /// bank with work there can start a command at `now`.
+    ///
+    /// Every ready bank with work nominates one entry from its cache: its
+    /// oldest entry once that has waited past the age cap (starvation
+    /// guard); else its row-hit winner while the bank's bypass streak is
+    /// under the bound and that winner is not already the priority winner
+    /// (the fairness half of the paper's fair FR-FCFS); else its priority
+    /// winner. The smallest key wins, aged nominees first with the lowest
+    /// bank winning ties among them.
+    fn pick(&self, now: Cycle, from_writes: bool) -> Option<(usize, usize, bool)> {
+        let q = self.front(from_writes);
+        let mut win: Option<(usize, usize, bool, (VirtualDeadline, u64))> = None;
+        for b in set_bits(q.occupied) {
+            let (bq, bank) = (&q.banks[b], &self.banks[b]);
             if bank.rdy > now {
                 continue;
             }
-            let sc = &mut scratch[b];
-            if now.saturating_sub(e.enq_at) > self.age_cap
-                && sc.aged.is_none_or(|(_, t)| e.enq_at < t)
-            {
-                sc.aged = Some((i, e.enq_at));
+            if now.saturating_sub(bq.entries[0].enq_at) > self.age_cap {
+                // Aged entries outrank everything; scanning in bank order,
+                // the first one found wins.
+                return Some((b, 0, false));
             }
-            let key = prio_key(e);
-            if sc.prio.is_none_or(|(_, k)| key < k) {
-                sc.prio = Some((i, key));
-            }
-            if bank.open_row == Some(e.row) && sc.fr.is_none_or(|(_, k)| key < k) {
-                sc.fr = Some((i, key));
-            }
-        }
-        struct Nominee {
-            idx: usize,
-            bank: usize,
-            bypass: bool,
-            key: (VirtualDeadline, u64),
-        }
-        let mut win: Option<Nominee> = None;
-        let consider = |n: Nominee, win: &mut Option<Nominee>| {
-            if win.as_ref().is_none_or(|w| n.key < w.key) {
-                *win = Some(n);
-            }
-        };
-        for (b, sc) in scratch.iter().copied().enumerate() {
-            if let Some((i, _)) = sc.aged {
-                // Aged entries outrank everything (starvation backstop).
-                consider(
-                    Nominee { idx: i, bank: b, bypass: false, key: (VirtualDeadline(0), 0) },
-                    &mut win,
-                );
-            } else if let Some((pi, pk)) = sc.prio {
-                // Row hits may bypass the priority winner only a bounded
-                // number of consecutive times (the fairness half of the
-                // paper's fair FR-FCFS).
-                match sc.fr {
-                    Some((fi, fk)) if fi != pi && banks[b].hit_streak < self.max_hit_streak => {
-                        consider(Nominee { idx: fi, bank: b, bypass: true, key: fk }, &mut win)
-                    }
-                    _ => consider(Nominee { idx: pi, bank: b, bypass: false, key: pk }, &mut win),
-                }
+            let (pos, bypass) = match bq.hit {
+                Some(h) if h != bq.prio && bank.hit_streak < self.max_hit_streak => (h, true),
+                _ => (bq.prio, false),
+            };
+            let key = bq.entries[pos].key;
+            if win.is_none_or(|(.., k)| key < k) {
+                win = Some((b, pos, bypass, key));
             }
         }
-        let Some(win) = win else {
-            return false;
-        };
-        if win.bypass {
-            self.banks[win.bank].hit_streak += 1;
+        win.map(|(b, pos, bypass, _)| (b, pos, bypass))
+    }
+
+    fn front(&self, writes: bool) -> &FrontQueue {
+        if writes {
+            &self.write_q
         } else {
-            self.banks[win.bank].hit_streak = 0;
+            &self.read_q
         }
-        let q = if from_writes { &mut self.write_q } else { &mut self.read_q };
-        let e = q.remove(win.idx).expect("index valid");
-        self.issue_to_bank(win.bank, e, now);
-        true
+    }
+
+    fn front_mut(&mut self, writes: bool) -> &mut FrontQueue {
+        if writes {
+            &mut self.write_q
+        } else {
+            &mut self.read_q
+        }
+    }
+
+    /// True when every bank's cached nominees and the queue lengths match
+    /// a fresh scan and each bank's list is in acceptance order (the
+    /// [`FrontQueue`] invariants).
+    fn nominees_fresh(&self) -> bool {
+        [&self.read_q, &self.write_q].into_iter().all(|q| {
+            let total: usize = q.banks.iter().map(|bq| bq.entries.len()).sum();
+            let occupied =
+                q.banks.iter().rev().fold(0u64, |m, bq| m << 1 | u64::from(!bq.entries.is_empty()));
+            total == q.len
+                && q.len <= q.cap
+                && occupied == q.occupied
+                && q.banks.iter().zip(&self.banks).all(|(bq, bank)| {
+                    let ordered = bq.entries.windows(2).all(|w| w[0].seq() < w[1].seq());
+                    let fresh =
+                        bq.entries.is_empty() || bq.scan(bank.open_row) == (bq.prio, bq.hit);
+                    ordered && fresh && (!bq.entries.is_empty() || bq.hit.is_none())
+                })
+        })
     }
 
     /// Starts the bank-side access (precharge/activate/CAS pipeline). The
@@ -683,17 +789,12 @@ impl MemController {
             return;
         }
         let prefer_write = self.draining_writes;
-        let deadlines = self.arbiter.uses_deadlines();
         let pick = self
             .awaiting_bus
             .iter()
             .enumerate()
             .filter(|(_, p)| p.ready_at <= self.bus_free_at.max(now))
-            .min_by_key(|(_, p)| {
-                let key =
-                    if deadlines { (p.e.deadline, p.e.seq) } else { (VirtualDeadline(0), p.e.seq) };
-                (p.e.req.is_write != prefer_write, key)
-            })
+            .min_by_key(|(_, p)| (p.e.req.is_write != prefer_write, p.e.key))
             .map(|(i, _)| i);
         let Some(i) = pick else { return };
         let p = self.awaiting_bus.swap_remove(i);
@@ -708,7 +809,7 @@ impl MemController {
         self.last_dir_write = p.e.req.is_write;
         self.stats.bus_busy += t_burst;
         if !p.e.req.is_write {
-            self.arbiter.on_picked(p.e.req.class, p.e.deadline, p.e.seq, p.e.bank, p.cost);
+            self.arbiter.on_picked(p.e.req.class, p.e.deadline, p.e.seq(), p.e.bank, p.cost);
         }
         self.inflight.push((p.e, data_done));
     }
@@ -1248,6 +1349,135 @@ mod tests {
         assert_eq!(naive.stats().bytes, skip.stats().bytes);
         assert_eq!(naive.stats().reads, skip.stats().reads);
         assert_eq!(naive.stats().writes, skip.stats().writes);
+    }
+
+    #[test]
+    fn next_event_waits_for_the_earliest_busy_bank_not_an_idle_ready_one() {
+        // Two conflicting reads each to banks 0 and 2, the pairs five
+        // cycles apart: each bank starts its first access and holds the
+        // second until its timing releases. Bank 1 holds no work and has
+        // been ready since cycle 0; it must not pull the horizon in.
+        let mut m = mc(ArbiterMode::Fcfs, &[1]);
+        let cfg = DramConfig::default();
+        let line = |bank: u64, row: u64| {
+            LineAddr::new((row * cfg.banks as u64 + bank) * cfg.lines_per_row)
+        };
+        let mut done = Vec::new();
+        for (now, bank) in [(0u64, 0u64), (5, 2)] {
+            for row in 0..2 {
+                let req =
+                    MemReq { line: line(bank, row), class: q(0), is_write: false, token: row };
+                m.push(req).unwrap();
+            }
+            m.step_into(now, &mut done);
+        }
+        let now = 6;
+        assert_eq!(m.read_q.occupied, 0b101, "one request left on each of banks 0 and 2");
+        assert!(m.banks[1].rdy <= now, "bank 1 is idle and ready");
+        let (rdy0, rdy2) = (m.banks[0].rdy, m.banks[2].rdy);
+        assert!(now < rdy0 && rdy0 < rdy2, "both busy banks are timing-blocked");
+        assert_eq!(m.next_event(now), Some(rdy0));
+    }
+
+    /// The back end's pick as the controller made it before the per-bank
+    /// index: one pass over the whole queue in arrival order, gathering
+    /// each ready bank's aged, priority and row-hit winners. Returns the
+    /// winner's `(seq, bypass)`.
+    fn flat_scan_pick(m: &MemController, now: Cycle, from_writes: bool) -> Option<(u64, bool)> {
+        let q = m.front(from_writes);
+        let mut flat: Vec<QueuedReq> =
+            q.banks.iter().flat_map(|bq| bq.entries.iter().copied()).collect();
+        flat.sort_by_key(QueuedReq::seq);
+        type Best = Option<(u64, (VirtualDeadline, u64))>;
+        let mut aged: Vec<Option<(u64, Cycle)>> = vec![None; m.banks.len()];
+        let (mut prio, mut fr): (Vec<Best>, Vec<Best>) =
+            (vec![None; m.banks.len()], vec![None; m.banks.len()]);
+        for e in &flat {
+            let b = e.bank as usize;
+            if m.banks[b].rdy > now {
+                continue;
+            }
+            if now - e.enq_at > m.age_cap && aged[b].is_none_or(|(_, t)| e.enq_at < t) {
+                aged[b] = Some((e.seq(), e.enq_at));
+            }
+            if prio[b].is_none_or(|(_, k)| e.key < k) {
+                prio[b] = Some((e.seq(), e.key));
+            }
+            if m.banks[b].open_row == Some(e.row) && fr[b].is_none_or(|(_, k)| e.key < k) {
+                fr[b] = Some((e.seq(), e.key));
+            }
+        }
+        let mut win: Option<(u64, bool, (VirtualDeadline, u64))> = None;
+        for b in 0..m.banks.len() {
+            let n = if let Some((s, _)) = aged[b] {
+                (s, false, (VirtualDeadline(0), 0))
+            } else if let Some((ps, pk)) = prio[b] {
+                match fr[b] {
+                    Some((fs, fk)) if fs != ps && m.banks[b].hit_streak < m.max_hit_streak => {
+                        (fs, true, fk)
+                    }
+                    _ => (ps, false, pk),
+                }
+            } else {
+                continue;
+            };
+            if win.is_none_or(|(.., k)| n.2 < k) {
+                win = Some(n);
+            }
+        }
+        win.map(|(s, bypass, _)| (s, bypass))
+    }
+
+    #[test]
+    fn cached_nominees_match_a_fresh_scan_under_seeded_traffic() {
+        // Mixed reads and writes over a few banks and rows (row hits,
+        // conflicts, write drains), with a one-bank hotspot that ages.
+        // Debug builds also check the index after every single accept
+        // and issue inside `step_into`.
+        let cfg = DramConfig::default();
+        for mode in ArbiterMode::ALL {
+            for seed in [1u64, 0x9e37_79b9, 0xdead_beef] {
+                let mut m = mc(mode, &[3, 1]);
+                let mut x = seed;
+                let mut done = Vec::new();
+                let mut picks = 0u64;
+                let mut aged = 0u64;
+                for now in 0..40_000u64 {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    let r = x >> 33;
+                    // Reads over five banks, a write burst every 12,288
+                    // cycles, and between bursts a trickle of writes to
+                    // bank 0 that waits past the age cap.
+                    let trickle = now.is_multiple_of(997);
+                    let (bank, row) = match r % 4 {
+                        _ if trickle => (0, 8 + now / 997),
+                        0 => (0, r % 3),
+                        _ => (r % 5, (r >> 8) % 4),
+                    };
+                    let _ = m.push(MemReq {
+                        line: LineAddr::new((row * cfg.banks as u64 + bank) * cfg.lines_per_row),
+                        class: q((r % 2) as u8),
+                        is_write: trickle || now % 12_288 < 300,
+                        token: now,
+                    });
+                    for from_writes in [false, true] {
+                        let q = m.front(from_writes);
+                        let got = m.pick(now, from_writes).map(|(b, pos, bypass)| {
+                            let e = q.banks[b].entries[pos];
+                            aged += u64::from(now - e.enq_at > m.age_cap);
+                            (e.seq(), bypass)
+                        });
+                        let want = flat_scan_pick(&m, now, from_writes);
+                        assert_eq!(got, want, "{mode:?} seed {seed:#x}: pick diverged at {now}");
+                        picks += u64::from(got.is_some());
+                    }
+                    m.step_into(now, &mut done);
+                    assert!(m.nominees_fresh(), "{mode:?} seed {seed:#x}: stale at cycle {now}");
+                }
+                assert!(picks > 1_000, "{mode:?}: traffic must exercise the pick, got {picks}");
+                assert!(aged > 0, "{mode:?}: traffic must trip the age cap");
+            }
+        }
     }
 
     #[test]

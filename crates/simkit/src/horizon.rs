@@ -108,22 +108,32 @@ pub const NO_WAKE: Cycle = Cycle::MAX;
 /// leaves it stale-low (conservative — the caller rescans and finds
 /// nothing due, then calls [`DomainHorizon::recompute_min`]). A stale
 /// bound can only cause an extra scan, never a missed wake.
+///
+/// `resident` is a bitset of the domains that are *not* parked (bit `k`
+/// of word `k / 64`), so a step loop can visit only live domains with
+/// [`DomainHorizon::next_resident`] instead of testing every one.
 #[derive(Debug, Clone)]
 pub struct DomainHorizon {
     wake_at: Vec<Cycle>,
     owed_from: Vec<Cycle>,
     parked: usize,
     min_wake: Cycle,
+    resident: Vec<u64>,
 }
 
 impl DomainHorizon {
     /// A set of `n` domains, all initially resident (not parked).
     pub fn new(n: usize) -> Self {
+        let mut resident = vec![u64::MAX; n.div_ceil(64)];
+        if !n.is_multiple_of(64) {
+            resident[n / 64] = (1 << (n % 64)) - 1;
+        }
         Self {
             wake_at: vec![NO_WAKE; n],
             owed_from: vec![NO_WAKE; n],
             parked: 0,
             min_wake: NO_WAKE,
+            resident,
         }
     }
 
@@ -159,6 +169,7 @@ impl DomainHorizon {
         self.owed_from[k] = owed_from;
         self.parked += 1;
         self.min_wake = self.min_wake.min(wake);
+        self.resident[k / 64] &= !(1 << (k % 64));
     }
 
     /// Unparks domain `k`, returning the number of owed bookkeeping
@@ -172,7 +183,31 @@ impl DomainHorizon {
         self.wake_at[k] = NO_WAKE;
         self.owed_from[k] = NO_WAKE;
         self.parked -= 1;
+        self.resident[k / 64] |= 1 << (k % 64);
         owed
+    }
+
+    /// The lowest resident (not parked) domain in `from..end`, if any.
+    /// Stepping `from` past each answer visits the resident domains of
+    /// a range in ascending order.
+    pub fn next_resident(&self, from: usize, end: usize) -> Option<usize> {
+        let end = end.min(self.len());
+        if from >= end {
+            return None;
+        }
+        let mut w = from / 64;
+        let mut bits = self.resident[w] & (u64::MAX << (from % 64));
+        loop {
+            if bits != 0 {
+                let k = w * 64 + bits.trailing_zeros() as usize;
+                return (k < end).then_some(k);
+            }
+            w += 1;
+            if w * 64 >= end {
+                return None;
+            }
+            bits = self.resident[w];
+        }
     }
 
     /// Cached wake time of parked domain `k` ([`NO_WAKE`] when it has no
@@ -269,6 +304,46 @@ mod tests {
         d.recompute_min();
         assert!(!d.maybe_due(u64::MAX - 1), "NO_WAKE never reads as due");
         assert_eq!(d.unpark(0, 100), 0, "immediate wake owes nothing");
+    }
+
+    #[test]
+    fn resident_set_is_the_unparked_domains_in_ascending_order() {
+        for n in [1usize, 63, 64, 65, 256] {
+            let mut rng = n as u64;
+            let mut next = move || {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                rng >> 33
+            };
+            let mut d = DomainHorizon::new(n);
+            for step in 0..4 * n as u64 + 64 {
+                let k = next() as usize % n;
+                if d.is_parked(k) {
+                    d.unpark(k, step);
+                } else {
+                    d.park(k, step, Some(step + 1));
+                }
+                let fresh: Vec<usize> = (0..n).filter(|&k| !d.is_parked(k)).collect();
+                let mut walked = Vec::new();
+                let mut from = 0;
+                while let Some(k) = d.next_resident(from, n) {
+                    walked.push(k);
+                    from = k + 1;
+                }
+                assert_eq!(walked, fresh, "n = {n}, step {step}");
+                // A sub-range walk sees exactly the resident domains in it.
+                let (lo, hi) = (next() as usize % n, next() as usize % (n + 1));
+                let mut sub = Vec::new();
+                let mut from = lo;
+                while let Some(k) = d.next_resident(from, hi) {
+                    sub.push(k);
+                    from = k + 1;
+                }
+                let want: Vec<usize> =
+                    fresh.iter().copied().filter(|&k| lo <= k && k < hi).collect();
+                assert_eq!(sub, want, "n = {n}, range {lo}..{hi}");
+            }
+            assert_eq!(d.next_resident(n, n + 5), None, "past the end");
+        }
     }
 
     #[test]

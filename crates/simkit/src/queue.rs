@@ -103,8 +103,7 @@ impl<T> BoundedQueue<T> {
 
     /// Removes and returns the item at `index` (0 = oldest).
     ///
-    /// Used by schedulers (e.g. the PABST priority arbiter) that service
-    /// queues out of order.
+    /// For schedulers that service a queue out of order.
     pub fn remove(&mut self, index: usize) -> Option<T> {
         self.items.remove(index)
     }

@@ -1,6 +1,7 @@
 //! System-wide measurement: everything the paper's figures report.
 
 use pabst_core::qos::MAX_CLASSES;
+use pabst_cpu::OooCore;
 use pabst_simkit::stats::{ClassSeries, Histogram};
 use pabst_simkit::Cycle;
 
@@ -51,6 +52,20 @@ impl Metrics {
             bytes_at_start: [0; MAX_CLASSES],
             last_marker: vec![None; cores],
             cycles_skipped: 0,
+        }
+    }
+
+    /// Records core `i`'s retired workload markers as service-time
+    /// deltas.
+    pub(crate) fn record_markers(&mut self, i: usize, core: &mut OooCore) {
+        if !core.has_markers() {
+            return;
+        }
+        for (_tag, at) in core.take_markers() {
+            if let Some(prev) = self.last_marker[i] {
+                self.service[i].record(at - prev);
+            }
+            self.last_marker[i] = Some(at);
         }
     }
 

@@ -78,6 +78,13 @@ impl DomainSched {
         self.tiles.is_parked(i)
     }
 
+    /// The lowest resident (unparked) tile in `from..end`, if any: the
+    /// step loops walk live tiles in index order by stepping `from`
+    /// past each answer.
+    pub fn next_resident_tile(&self, from: usize, end: usize) -> Option<usize> {
+        self.tiles.next_resident(from, end)
+    }
+
     /// True when controller `k` is parked.
     pub fn mc_parked(&self, k: usize) -> bool {
         self.mcs.is_parked(k)

@@ -137,7 +137,7 @@ pub fn force_no_skip() {
 }
 
 impl System {
-    /// Default cap on the horizon probe backoff (see [`System::advance`];
+    /// Default cap on the horizon probe backoff (see `System::advance`;
     /// override with [`SystemBuilder::probe_backoff_cap`]). Small enough
     /// that the start of a quiescent window is never missed by more than
     /// a handful of naive steps, large enough that a saturated machine
@@ -385,7 +385,8 @@ impl System {
     /// Probe backoff: on a saturated machine the horizon is `now` nearly
     /// every cycle, and probing it would be pure overhead. Each failed
     /// probe doubles the distance to the next one (capped at
-    /// [`System::MAX_PROBE_BACKOFF`]); a successful skip resets it.
+    /// [`System::DEFAULT_PROBE_BACKOFF_CAP`] unless the builder overrides
+    /// it); a successful skip resets it.
     /// Un-probed cycles are stepped naively, which is always correct —
     /// backoff trades a few missed skip opportunities at the start of a
     /// quiescent window for near-zero probe cost in the busy regime, and
@@ -601,16 +602,24 @@ impl System {
 
         // 5. Tiles: inject paced L2 misses + L2 writebacks, then step cores.
         self.tile_injection(now);
-        for (i, tile) in self.tiles.iter_mut().enumerate() {
-            if skip_enabled && self.sched.tile_parked(i) {
-                continue;
+        if !skip_enabled {
+            // The naive A/B baseline: a pure per-cycle interpreter.
+            for (i, tile) in self.tiles.iter_mut().enumerate() {
+                tile.step_core(now);
+                self.metrics.record_markers(i, &mut tile.core);
             }
-            // Per-tile quiescence: a core that provably cannot retire,
-            // issue, or dispatch this cycle would only bump its ROB-full
-            // stall counter — accrue that directly and skip the pipeline
-            // walk. Gated on skip mode so the naive A/B baseline stays a
-            // pure per-cycle interpreter.
-            if skip_enabled {
+        } else {
+            // Only resident tiles, in index order; parking tile `i` below
+            // clears only its own bit, behind the walk.
+            let n = self.tiles.len();
+            let mut next = self.sched.next_resident_tile(0, n);
+            while let Some(i) = next {
+                next = self.sched.next_resident_tile(i + 1, n);
+                let tile = &mut self.tiles[i];
+                // Per-tile quiescence: a core that provably cannot retire,
+                // issue, or dispatch this cycle would only bump its
+                // ROB-full stall counter — accrue that directly and skip
+                // the pipeline walk.
                 let core_h = tile.core.next_event(now);
                 if core_h.is_none_or(|at| at > now) {
                     tile.core.accrue_skip(1);
@@ -629,17 +638,7 @@ impl System {
                     continue;
                 }
                 tile.step_core(now);
-            } else {
-                tile.step_core(now);
-            }
-            if tile.core.has_markers() {
-                for (tag, at) in tile.core.take_markers() {
-                    let _ = tag;
-                    if let Some(prev) = self.metrics.last_marker[i] {
-                        self.metrics.service[i].record(at - prev);
-                    }
-                    self.metrics.last_marker[i] = Some(at);
-                }
+                self.metrics.record_markers(i, &mut tile.core);
             }
         }
 
@@ -803,28 +802,40 @@ impl System {
         // fast-forward jump lands on exactly the cursor naive stepping
         // would have reached.
         let start = (now % n as u64) as usize;
-        let skip_enabled = self.skip_enabled;
-        for off in 0..n {
-            let i = (start + off) % n;
-            // A parked tile's injection path is provably quiescent (its
-            // park horizon folded `next_inject_at`); the NACK its pacer
-            // would take this cycle is owed and accrues at wake.
-            if skip_enabled && self.sched.tile_parked(i) {
-                continue;
+        if !self.skip_enabled {
+            for off in 0..n {
+                self.inject_from(now, (start + off) % n);
             }
-            // Idle tiles (nothing queued for injection) are skipped before
-            // the pacer is consulted.
-            if !self.tiles[i].mem.wants_inject() {
-                continue;
+            return;
+        }
+        // The same order over resident tiles only: `start..n`, then
+        // `0..start`. A parked tile's injection path is provably
+        // quiescent (its park horizon folded `next_inject_at`); the NACK
+        // its pacer would take this cycle is owed and accrues at wake.
+        for (from, end) in [(start, n), (0, start)] {
+            let mut next = self.sched.next_resident_tile(from, end);
+            while let Some(i) = next {
+                self.inject_from(now, i);
+                next = self.sched.next_resident_tile(i + 1, end);
             }
-            // One injection per tile per cycle.
-            if let Some(req) = self.tiles[i].mem.try_inject(now) {
-                let class = self.tiles[i].mem.class;
-                self.net.send_request(
-                    now,
-                    L3Req { line: req.line, class, tile: i, store: req.store, l2_wb: false },
-                );
-            }
+        }
+    }
+
+    /// Offers tile `i`'s next L2 miss or writeback to its pacer, at most
+    /// one injection per tile per cycle.
+    fn inject_from(&mut self, now: Cycle, i: usize) {
+        let mem = &mut self.tiles[i].mem;
+        // Idle tiles (nothing queued for injection) are skipped before
+        // the pacer is consulted.
+        if !mem.wants_inject() {
+            return;
+        }
+        if let Some(req) = mem.try_inject(now) {
+            let class = mem.class;
+            self.net.send_request(
+                now,
+                L3Req { line: req.line, class, tile: i, store: req.store, l2_wb: false },
+            );
         }
     }
 
