@@ -21,7 +21,7 @@ use pabst_workloads::ChaserGen;
 
 /// One profiled configuration, timed twice: with partitioned cycle
 /// skipping (the default execution strategy) and naive per-cycle
-/// stepping (`skip(false)`, the `PABST_NO_SKIP` baseline).
+/// stepping (`skip(false)`, the `--no-skip` baseline).
 struct Profile {
     name: &'static str,
     epoch_cycles: u64,

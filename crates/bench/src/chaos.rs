@@ -12,8 +12,8 @@
 //! results are identical at any `--jobs` count.
 //!
 //! Each cell runs a 3:1 read-stream contest on the scaled 8-core
-//! machine with release-mode invariant checking on
-//! ([`pabst_simkit::invariant`]) and the panicking watchdog off — a
+//! machine with every invariant family armed
+//! ([`pabst_simkit::invariant`]) under the recording policy — a
 //! wedge is something to classify here, not a reason to kill the sweep.
 //! The per-cell deadline is an **epoch budget**, not a wall clock: every
 //! run executes exactly `warmup + epochs` epochs (the simulator always
@@ -45,6 +45,7 @@ use crate::table::Table;
 use pabst_core::governor::GovernorKind;
 use pabst_dram::ArbiterMode;
 use pabst_simkit::fault::{FaultKind, FaultPlan, FaultSpec, PPM_SCALE};
+use pabst_simkit::invariant::ViolationPolicy;
 use pabst_simkit::stats::allocation_error_pct;
 use pabst_soc::config::{RegulationMode, SystemConfig};
 use pabst_soc::system::{System, SystemBuilder};
@@ -342,10 +343,9 @@ pub fn run_cell(cell: &ChaosCell, epochs: usize, seed: u64) -> (CellOutcome, Opt
         let mut cfg = SystemConfig::scaled_8core();
         cfg.governor = governor;
         cfg.arbiter = arbiter;
-        // The checker classifies wedges; the watchdog's panic would
-        // just turn every timeout into a noisier panic.
-        cfg.watchdog_epochs = 0;
-        cfg.invariants.enabled = true;
+        // The checker classifies wedges: recording them, rather than
+        // panicking on the first, keeps the cell's outcome and counts.
+        cfg.invariants.policy = ViolationPolicy::Record;
         cfg.invariants.bound_checks = true;
         cfg.invariants.liveness_epochs = LIVENESS_EPOCHS;
         let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)

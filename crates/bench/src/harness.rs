@@ -25,10 +25,10 @@
 //! the byte-identical guarantee.
 //!
 //! Cells are additionally **failure-isolated**: each runs under
-//! [`std::panic::catch_unwind`], so one panicking cell (a watchdog abort,
-//! a scenario bug) becomes a [`CellFailure`] record in the merged output
-//! — tagged with experiment/config/seed for one-command repro — instead
-//! of killing the whole sweep. Failure records occupy the failed cell's
+//! [`std::panic::catch_unwind`], so one panicking cell (an invariant
+//! violation, a scenario bug) becomes a [`CellFailure`] record in the
+//! merged output — tagged with experiment/config/seed for one-command
+//! repro — instead of killing the whole sweep. Failure records occupy the failed cell's
 //! submission-order slot, so the merged report stays deterministic at
 //! any `--jobs` value. [`run_cli`] stops after the first experiment with
 //! failures unless `--keep-going` is set, and exits non-zero either way.
@@ -464,7 +464,7 @@ pub fn drive(names: &[&str]) {
 pub fn run_cli(names: &[&str], args: &CliArgs) {
     if args.no_skip {
         // The CI A/B arm: every system this invocation builds steps
-        // naively, as under PABST_NO_SKIP=1. Output must be identical.
+        // naively. Output must be identical.
         pabst_soc::system::force_no_skip();
     }
     let selected: Vec<&'static Experiment> = names
@@ -641,6 +641,20 @@ mod tests {
             "{}",
             recs[0]
         );
+    }
+
+    #[test]
+    fn failure_record_carries_mechanism_and_fault_provenance() {
+        // A panicking cell's record must still name the mechanism stack
+        // and fault plan it ran, so the failure reproduces exactly.
+        fn grid(quick: bool) -> Vec<Params> {
+            flaky_grid(quick).into_iter().map(|p| p.with_provenance(0xfeed, 0xd16e57)).collect()
+        }
+        let out = run_sweep(&Experiment { grid, ..FLAKY }, true, 1, false);
+        let rec = out.reports.lines().next().expect("the failed cell's record");
+        assert!(rec.contains("\"failed\":true"), "{rec}");
+        assert!(rec.contains("\"mechanism_hash\":\"0x000000000000feed\""), "{rec}");
+        assert!(rec.contains("\"fault_digest\":\"0x0000000000d16e57\""), "{rec}");
     }
 
     #[test]

@@ -20,10 +20,8 @@
 //!   (either way the cell's failure is recorded and the exit code is
 //!   non-zero);
 //! * `--no-skip` — force naive per-cycle stepping for every system the
-//!   invocation builds, exactly as the `PABST_NO_SKIP` environment
-//!   variable does (the flag form lets CI A/B jobs flip the switch
-//!   without touching the environment). Output is byte-identical either
-//!   way; that equivalence is what the A/B jobs check.
+//!   invocation builds. Output is byte-identical either way; that
+//!   equivalence is what the CI A/B jobs check.
 //!
 //! All value flags accept both `--flag value` and `--flag=value`.
 //! Unknown flags are an error (exit 2), not a silent ignore — a typoed
@@ -48,8 +46,8 @@ pub struct CliArgs {
     /// Keep running later experiments after one records cell failures
     /// (default is fail-fast: stop after the first failing experiment).
     pub keep_going: bool,
-    /// Force naive per-cycle stepping (the `PABST_NO_SKIP` baseline) for
-    /// every system this invocation builds.
+    /// Force naive per-cycle stepping (the skip-off baseline) for every
+    /// system this invocation builds.
     pub no_skip: bool,
 }
 

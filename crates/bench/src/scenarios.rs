@@ -655,9 +655,10 @@ pub struct ResilienceResult {
 }
 
 /// Runs one resilience cell: a 3:1 read-stream contest on the scaled
-/// 8-core machine with `plan` injected and the forward-progress watchdog
-/// armed — a fault mix that truly wedges the machine becomes a panic the
-/// sweep harness records as a cell failure, not a hung run.
+/// 8-core machine with `plan` injected and a 50-epoch liveness window
+/// under the default panicking policy — a fault mix that truly wedges
+/// the machine's one controller becomes a panic the sweep harness
+/// records as a cell failure, not a hung run.
 pub fn resilience_cell(
     plan: FaultPlan,
     epochs: usize,
@@ -665,7 +666,7 @@ pub fn resilience_cell(
     ctx: &mut RunCtx,
 ) -> ResilienceResult {
     let mut cfg = SystemConfig::scaled_8core();
-    cfg.watchdog_epochs = 50;
+    cfg.invariants.liveness_epochs = 50;
     let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)
         .class(3, read_streamers(0, 4, seed))
         .class(1, read_streamers(1, 4, seed))

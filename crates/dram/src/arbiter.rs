@@ -381,7 +381,7 @@ impl TargetArbiter for PerBankArbiter {
 
     fn clock(&self, id: QosId) -> u64 {
         // The class's furthest per-bank progress: a max of monotone
-        // clocks, so the sanitizer's monotonicity check holds.
+        // clocks, so the invariant checker's monotonicity law holds.
         self.banks.iter().map(|c| c.clock(id)).max().unwrap_or(0)
     }
 

@@ -523,9 +523,8 @@ impl MemController {
 
     /// Requests accepted at the ingress so far. At any instant
     /// `accepted == completed reads + completed writes + pending()` — the
-    /// conservation invariant that `System`'s epoch-boundary checks (the
-    /// release-mode invariant checker, and the sanitizer in debug builds)
-    /// verify.
+    /// conservation invariant that `System`'s epoch-boundary invariant
+    /// checker verifies.
     pub fn accepted(&self) -> u64 {
         self.accepted
     }

@@ -94,7 +94,7 @@ fn dpq_service_bound_holds_in_controller() {
 }
 
 /// Per-class virtual clocks are monotone through the trait seam for
-/// every deadline-carrying mechanism (the epoch sanitizer relies on
+/// every deadline-carrying mechanism (the epoch invariant checker relies on
 /// this).
 #[test]
 fn zoo_clocks_monotone() {

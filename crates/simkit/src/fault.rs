@@ -274,8 +274,8 @@ impl FaultPlan {
     }
 
     /// FNV-1a digest of the plan's canonical JSONL serialization — a
-    /// stable provenance fingerprint carried by watchdog snapshots and
-    /// campaign failure records so any failure line names the exact
+    /// stable provenance fingerprint carried by campaign and resilience
+    /// failure records so any failure line names the exact
     /// plan that produced it. The empty plan digests to the FNV offset
     /// basis.
     pub fn digest(&self) -> u64 {

@@ -1,19 +1,24 @@
-//! Always-on runtime invariant checker: conservation, bound, and
+//! The runtime invariant checker: conservation, bound, monotonicity and
 //! liveness laws evaluated at epoch boundaries.
 //!
-//! The [`crate::sanitizer::Sanitizer`] is a debug-build tripwire: it
-//! panics on the first violated law and compiles to no-ops in release
-//! builds. Chaos campaigns need the opposite trade: the laws must hold
-//! in `--release` (where campaigns actually run), and a violation must
-//! be *recorded* — typed, with a component snapshot — rather than abort
-//! the sweep, so the campaign driver can classify the cell and hand the
-//! fault plan to the shrinker. [`InvariantChecker`] is that recorder.
+//! PABST's accounting is exact by construction — pacer credit is bounded
+//! by the burst window, virtual deadlines only move forward, and every
+//! request a controller accepts leaves it exactly once. Those laws are
+//! what make the paper's proportional-share claims trustworthy, so the
+//! SoC epoch loop re-verifies them at every boundary, in every build
+//! profile. What a violation does is the [`ViolationPolicy`]: by default
+//! it panics with the violation's full text, so a broken law surfaces at
+//! the epoch where the drift began rather than as a silently wrong
+//! figure; chaos campaigns choose [`ViolationPolicy::Record`] instead, so
+//! a violation is *recorded* — typed, with a component snapshot — and
+//! the campaign driver can classify the cell and hand the fault plan to
+//! the shrinker.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Deterministic and read-only.** The checker observes simulator
-//!    state and mutates only its own bookkeeping; a system run with
-//!    checking enabled is byte-identical to one without. Integer
+//!    state and mutates only its own bookkeeping; a run that checks
+//!    more laws is byte-identical to one that checks fewer. Integer
 //!    arithmetic only — it sits on the hot epoch path of
 //!    `System::advance`, which must stay float- and entropy-free.
 //! 2. **Cheap.** All checks run once per epoch (tens of thousands of
@@ -29,9 +34,23 @@
 //! capacity, pacer credit vs. burst window, the DPQ worst-case service
 //! bound), monotonicity (per-class virtual clocks never run backwards),
 //! and liveness (a component with queued work must deliver bytes within
-//! a configured number of epochs — the watchdog generalized to
-//! per-component forward-progress windows that report instead of
-//! panicking).
+//! a configured number of epochs; under the default policy this is the
+//! forward-progress watchdog).
+//!
+//! # Examples
+//!
+//! ```
+//! use pabst_simkit::invariant::{InvariantChecker, InvariantConfig, ViolationPolicy};
+//!
+//! let cfg = InvariantConfig { policy: ViolationPolicy::Record, ..InvariantConfig::default() };
+//! let mut c = InvariantChecker::new(cfg);
+//! c.begin_epoch(3, 60_000);
+//! c.check_le("pacer credit", 0, 90, 150, String::new); // holds
+//! c.check_le("pacer credit", 1, 151, 150, || "period=16".to_string());
+//! let report = c.report();
+//! assert_eq!((report.checks_run(), report.total_violations()), (2, 1));
+//! assert!(report.violations()[0].to_string().contains("[bound] pacer credit[1]"));
+//! ```
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -40,18 +59,33 @@ use std::fmt;
 /// stored, keeping a worst-case cell's memory bounded.
 pub const MAX_RECORDED: usize = 64;
 
+/// What [`InvariantChecker`] does when a law fails.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ViolationPolicy {
+    /// Panic with the violation's [`Display`](fmt::Display) text (law,
+    /// check name, unit, epoch, cycle, observed vs. limit, and the
+    /// component snapshot). The default in every build profile: a
+    /// healthy run never violates a law, and a per-cell
+    /// `catch_unwind` in the bench harness turns the panic into a
+    /// failure record instead of a dead sweep.
+    #[default]
+    Panic,
+    /// Record the violation in the [`InvariantReport`] and keep
+    /// running. For chaos campaigns, which classify and shrink failing
+    /// cells rather than abort them.
+    Record,
+}
+
 /// Knobs for the runtime invariant checker, carried by the system
 /// config so campaign runs and golden runs can differ.
 ///
 /// The struct is deliberately **not** part of the mechanism hash:
-/// checking is observation, not mechanism, and enabling it must leave
-/// every golden byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// checking is observation, not mechanism, and checking more laws must
+/// leave every golden byte-identical.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct InvariantConfig {
-    /// Master switch. On by default — the checker is cheap enough to
-    /// run everywhere, and goldens stay byte-identical because it only
-    /// reads state.
-    pub enabled: bool,
+    /// Panic on the first violation (the default) or record them all.
+    pub policy: ViolationPolicy,
     /// Promote the DPQ worst-case service bound (and any other
     /// release-gated bound checks) from `debug_assert!` to counted
     /// release-mode checks. Off by default: golden runs skip the
@@ -63,12 +97,6 @@ pub struct InvariantConfig {
     /// disables the liveness family (the default — idle-heavy golden
     /// workloads legitimately sit still for long stretches).
     pub liveness_epochs: u64,
-}
-
-impl Default for InvariantConfig {
-    fn default() -> Self {
-        Self { enabled: true, bound_checks: false, liveness_epochs: 0 }
-    }
 }
 
 /// The family a violated law belongs to; campaign reports group by it.
@@ -197,19 +225,9 @@ pub struct InvariantChecker {
 }
 
 impl InvariantChecker {
-    /// A checker honoring `cfg` (a disabled checker evaluates nothing).
+    /// A checker honoring `cfg`.
     pub fn new(cfg: InvariantConfig) -> Self {
         Self { cfg, ..Self::default() }
-    }
-
-    /// Whether any law will be evaluated at all.
-    pub fn enabled(&self) -> bool {
-        self.cfg.enabled
-    }
-
-    /// The configuration this checker was built with.
-    pub fn config(&self) -> InvariantConfig {
-        self.cfg
     }
 
     /// Stamps the epoch/cycle every subsequent violation this boundary
@@ -224,6 +242,11 @@ impl InvariantChecker {
         &self.report
     }
 
+    /// Applies the [`ViolationPolicy`] to one failed law.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the violation's text under [`ViolationPolicy::Panic`].
     fn record(
         &mut self,
         law: InvariantLaw,
@@ -233,18 +256,25 @@ impl InvariantChecker {
         limit: u64,
         detail: impl FnOnce() -> String,
     ) {
-        self.report.total += 1;
-        if self.report.violations.len() < MAX_RECORDED {
-            self.report.violations.push(InvariantViolation {
-                law,
-                name,
-                unit,
-                epoch: self.epoch,
-                cycle: self.cycle,
-                observed,
-                limit,
-                detail: detail(),
-            });
+        let (epoch, cycle) = (self.epoch, self.cycle);
+        let violation = || InvariantViolation {
+            law,
+            name,
+            unit,
+            epoch,
+            cycle,
+            observed,
+            limit,
+            detail: detail(),
+        };
+        match self.cfg.policy {
+            ViolationPolicy::Panic => panic!("{}", violation()),
+            ViolationPolicy::Record => {
+                self.report.total += 1;
+                if self.report.violations.len() < MAX_RECORDED {
+                    self.report.violations.push(violation());
+                }
+            }
         }
     }
 
@@ -257,9 +287,6 @@ impl InvariantChecker {
         limit: u64,
         detail: impl FnOnce() -> String,
     ) {
-        if !self.cfg.enabled {
-            return;
-        }
         self.report.checks += 1;
         if value > limit {
             self.record(InvariantLaw::Bound, name, unit, value, limit, detail);
@@ -276,9 +303,6 @@ impl InvariantChecker {
         value: u64,
         detail: impl FnOnce() -> String,
     ) {
-        if !self.cfg.enabled {
-            return;
-        }
         self.report.checks += 1;
         let floor = self.floors.entry((name, unit, lane)).or_insert(0);
         if value < *floor {
@@ -300,9 +324,6 @@ impl InvariantChecker {
         outstanding: u64,
         detail: impl FnOnce() -> String,
     ) {
-        if !self.cfg.enabled {
-            return;
-        }
         self.report.checks += 1;
         let accounted = settled.saturating_add(outstanding);
         if credited != accounted {
@@ -321,9 +342,6 @@ impl InvariantChecker {
         total: u64,
         detail: impl FnOnce() -> String,
     ) {
-        if !self.cfg.enabled {
-            return;
-        }
         self.report.checks += 1;
         let prev = self.totals.entry((name, unit)).or_insert(0);
         if total > *prev {
@@ -336,6 +354,8 @@ impl InvariantChecker {
     /// Liveness law: a unit reporting `has_work` without
     /// `made_progress` for more than `cfg.liveness_epochs` consecutive
     /// epochs is wedged. Disabled when the configured window is 0.
+    /// Under [`ViolationPolicy::Panic`] this is the forward-progress
+    /// watchdog.
     pub fn check_progress(
         &mut self,
         name: &'static str,
@@ -344,7 +364,7 @@ impl InvariantChecker {
         has_work: bool,
         detail: impl FnOnce() -> String,
     ) {
-        if !self.cfg.enabled || self.cfg.liveness_epochs == 0 {
+        if self.cfg.liveness_epochs == 0 {
             return;
         }
         self.report.checks += 1;
@@ -370,22 +390,58 @@ impl InvariantChecker {
 mod tests {
     use super::*;
 
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// A recording checker, for tests that inspect the report.
     fn chk(liveness: u64) -> InvariantChecker {
         InvariantChecker::new(InvariantConfig {
-            enabled: true,
+            policy: ViolationPolicy::Record,
             bound_checks: true,
             liveness_epochs: liveness,
         })
     }
 
     #[test]
-    fn disabled_checker_evaluates_nothing() {
-        let mut c =
-            InvariantChecker::new(InvariantConfig { enabled: false, ..InvariantConfig::default() });
-        c.check_le("x", 0, 10, 1, String::new);
-        c.check_conserved("x", 0, 3, 1, 1, String::new);
-        assert_eq!(c.report().checks_run(), 0);
+    fn holding_laws_pass_under_the_default_panic_policy() {
+        let mut c = InvariantChecker::new(InvariantConfig::default());
+        assert_eq!(c.cfg.policy, ViolationPolicy::Panic);
+        c.check_le("credit", 3, 10, 10, String::new);
+        for v in [1, 1, 2, 5, 5, 9] {
+            c.check_monotone("clock", 0, 2, v, String::new);
+        }
+        // Floors are per (unit, lane): other series start fresh.
+        c.check_monotone("clock", 0, 0, 100, String::new);
+        c.check_monotone("clock", 0, 1, 5, String::new);
+        c.check_monotone("clock", 1, 0, 5, String::new);
+        c.check_conserved("mc requests", 0, 100, 90, 10, String::new);
+        c.check_le("sat duty", 0, 2, 2, String::new);
+        assert_eq!(c.report().checks_run(), 12);
         assert!(c.report().is_clean());
+    }
+
+    #[test]
+    fn panic_policy_names_the_law_family_and_check() {
+        type Violate = fn(&mut InvariantChecker);
+        let cases: [(&str, Violate); 4] = [
+            ("[bound] credit[0]", |c| c.check_le("credit", 0, 11, 10, String::new)),
+            ("[monotonicity] clock[0]", |c| {
+                c.check_monotone("clock", 0, 0, 7, String::new);
+                c.check_monotone("clock", 0, 0, 6, String::new);
+            }),
+            ("[conservation] mc requests[0]", |c| {
+                c.check_conserved("mc requests", 0, 100, 90, 9, String::new)
+            }),
+            ("[bound] sat duty[0]", |c| c.check_le("sat duty", 0, 3, 2, String::new)),
+        ];
+        for (expected, violate) in cases {
+            let mut c = InvariantChecker::new(InvariantConfig::default());
+            c.begin_epoch(5, 100_000);
+            let panic = catch_unwind(AssertUnwindSafe(|| violate(&mut c)))
+                .expect_err("a failed law must panic under the default policy");
+            let msg = panic.downcast_ref::<String>().map_or("<non-string panic>", String::as_str);
+            assert!(msg.contains(expected), "{expected}: {msg}");
+            assert!(msg.contains("epoch 5 cycle 100000"), "{msg}");
+        }
     }
 
     #[test]

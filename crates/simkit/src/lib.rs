@@ -19,14 +19,13 @@
 //! * [`fault`] — deterministic fault-injection plans: seed-reproducible
 //!   injection decisions (SAT drop/delay/corrupt, epoch skew, MC stall,
 //!   credit leak) with a JSONL-serializable schema.
-//! * [`sanitizer::Sanitizer`] — debug-mode runtime invariant checks
-//!   (credit caps, deadline monotonicity, queue conservation) wired into
-//!   the SoC epoch loop.
-//! * [`invariant::InvariantChecker`] — the release-mode counterpart: an
-//!   always-deterministic epoch-boundary law evaluator (conservation,
-//!   bounds, monotonicity, liveness) that records typed
-//!   [`invariant::InvariantViolation`]s instead of panicking, feeding
-//!   chaos-campaign outcome classification (docs/RESILIENCE.md).
+//! * [`invariant::InvariantChecker`] — the runtime invariant checker
+//!   wired into the SoC epoch loop in every build profile: a
+//!   deterministic epoch-boundary law evaluator (credit caps, deadline
+//!   monotonicity, queue conservation, liveness) that panics on a
+//!   violation by default, or records typed
+//!   [`invariant::InvariantViolation`]s for chaos-campaign outcome
+//!   classification (docs/RESILIENCE.md).
 //! * [`trace`] — epoch-structured observability: typed per-epoch records,
 //!   pluggable sinks (in-memory ring, JSONL writer), and a dependency-free
 //!   integer-only serializer.
@@ -53,7 +52,6 @@ pub mod horizon;
 pub mod invariant;
 pub mod queue;
 pub mod rng;
-pub mod sanitizer;
 pub mod stats;
 pub mod trace;
 
@@ -77,4 +75,76 @@ pub const LINE_BYTES: u64 = 64;
 /// ```
 pub fn bytes_per_cycle_to_gbps(bytes_per_cycle: f64) -> f64 {
     bytes_per_cycle * 2.0 // 2e9 cycles/s * B/cycle = 2e9 B/s = 2 GB/s per B/cycle
+}
+
+/// The cases of the former debug-only checker, kept under their original
+/// test names and re-expressed against [`invariant::InvariantChecker`]
+/// under its default [`invariant::ViolationPolicy::Panic`].
+#[cfg(test)]
+mod sanitizer {
+    mod tests {
+        use crate::invariant::{InvariantChecker, InvariantConfig};
+
+        fn checker() -> InvariantChecker {
+            InvariantChecker::new(InvariantConfig::default())
+        }
+
+        #[test]
+        fn le_within_bound_passes() {
+            let mut s = checker();
+            s.check_le("credit", 3, 10, 10, String::new);
+            assert_eq!(s.report().checks_run(), 1);
+        }
+
+        #[test]
+        #[should_panic(expected = "[bound] credit[0]")]
+        fn le_violation_panics() {
+            let mut s = checker();
+            s.check_le("credit", 0, 11, 10, String::new);
+        }
+
+        #[test]
+        fn monotone_accepts_nondecreasing() {
+            let mut s = checker();
+            for v in [1, 1, 2, 5, 5, 9] {
+                s.check_monotone("clock", 0, 2, v, String::new);
+            }
+        }
+
+        #[test]
+        fn monotone_lanes_are_independent() {
+            let mut s = checker();
+            s.check_monotone("clock", 0, 0, 100, String::new);
+            s.check_monotone("clock", 0, 1, 5, String::new); // different lane: fine
+            s.check_monotone("clock", 1, 0, 5, String::new); // different unit: fine
+        }
+
+        #[test]
+        #[should_panic(expected = "[monotonicity] clock[0]")]
+        fn monotone_regression_panics() {
+            let mut s = checker();
+            s.check_monotone("clock", 0, 0, 7, String::new);
+            s.check_monotone("clock", 0, 0, 6, String::new);
+        }
+
+        #[test]
+        fn conservation_balances() {
+            let mut s = checker();
+            s.check_conserved("mc requests", 0, 100, 90, 10, String::new);
+        }
+
+        #[test]
+        #[should_panic(expected = "[conservation] mc requests[0]")]
+        fn conservation_leak_panics() {
+            let mut s = checker();
+            s.check_conserved("mc requests", 0, 100, 90, 9, String::new);
+        }
+
+        #[test]
+        #[should_panic(expected = "[bound] sat duty[0]")]
+        fn fraction_above_one_panics() {
+            let mut s = checker();
+            s.check_le("sat duty", 0, 3, 2, String::new);
+        }
+    }
 }

@@ -11,7 +11,6 @@ use pabst_cpu::{OooCore, Workload};
 use pabst_dram::{ArbiterMode, Completion, MemController, MemReq};
 use pabst_simkit::fault::{FaultKind, FaultPlan};
 use pabst_simkit::invariant::{InvariantChecker, InvariantReport};
-use pabst_simkit::sanitizer::Sanitizer;
 use pabst_simkit::trace::{EpochRecord, TraceSink};
 use pabst_simkit::Cycle;
 
@@ -59,8 +58,8 @@ pub struct System {
     monitors: Vec<Box<dyn Governor>>,
     rategen: RateGenerator,
     metrics: Metrics,
-    /// Event-horizon fast-forward active (the default; cleared by the
-    /// `PABST_NO_SKIP` environment variable or [`SystemBuilder::skip`]).
+    /// Event-horizon fast-forward active (the default; cleared by
+    /// [`force_no_skip`] or [`SystemBuilder::skip`]).
     skip_enabled: bool,
     /// Park/unpark scheduler over the per-tile and per-controller skip
     /// domains (see [`crate::sched::DomainSched`]). Structurally inert
@@ -77,13 +76,10 @@ pub struct System {
     /// only — simulated behavior never depends on it.
     probe_cap: u64,
     epochs_run: usize,
-    /// Per-epoch invariant checks; no-ops unless debug_assertions or the
-    /// `sanitize` feature is on.
-    sanitizer: Sanitizer,
-    /// Release-mode invariant recorder (the sanitizer's always-on,
-    /// non-panicking counterpart): evaluates conservation/bound/liveness
-    /// laws at every epoch boundary and accumulates typed violations for
-    /// chaos-campaign classification. Read-only over simulator state.
+    /// Runtime invariant checker: evaluates the conservation, bound,
+    /// monotonicity and liveness laws at every epoch boundary, panicking
+    /// or recording per [`SystemConfig::invariants`]. Read-only over
+    /// simulator state.
     invariants: InvariantChecker,
     /// Attached observability sinks; each receives one [`EpochRecord`] per
     /// epoch boundary. Empty by default (zero overhead when unused).
@@ -114,9 +110,6 @@ pub struct System {
     mc_stall_cycles: u64,
     /// Total fault events injected so far, across all kinds.
     faults_injected: u64,
-    /// Consecutive epochs with queued memory work but zero delivered
-    /// bytes, for the forward-progress watchdog.
-    stalled_epochs: u64,
 }
 
 /// SAT broadcast history kept per monitor for the sat-delay fault kind.
@@ -127,11 +120,10 @@ const SAT_HISTORY_MAX: usize = 64;
 static FORCE_NO_SKIP: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 /// Forces naive per-cycle stepping for every [`System`] built in this
-/// process from now on, exactly as the `PABST_NO_SKIP` environment
-/// variable does. The flag form exists for CI A/B drivers (`--no-skip`)
-/// that want the switch without mutating the process environment; an
-/// explicit [`SystemBuilder::skip`] call still wins. There is no undo —
-/// the switch is for whole-process A/B runs, not per-system toggling.
+/// process from now on. This is what the bench binaries' `--no-skip`
+/// flag calls for CI A/B runs; an explicit [`SystemBuilder::skip`] call
+/// still wins. There is no undo — the switch is for whole-process A/B
+/// runs, not per-system toggling.
 pub fn force_no_skip() {
     FORCE_NO_SKIP.store(true, std::sync::atomic::Ordering::Relaxed);
 }
@@ -171,12 +163,6 @@ impl System {
     /// Collected metrics.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// The epoch invariant sanitizer (its check counter proves the
-    /// invariants actually ran in debug/`sanitize` builds).
-    pub fn sanitizer(&self) -> &Sanitizer {
-        &self.sanitizer
     }
 
     /// Cycles elided by the event-horizon fast-forward (always zero when
@@ -379,7 +365,7 @@ impl System {
     /// in the future, the loop jumps there in one [`System::apply_skip`]
     /// call instead of stepping dead cycles. Jumps never cross an epoch
     /// boundary (or `until`), so the heartbeat — SAT aggregation, governor
-    /// update, fault windows, watchdog, sanitizer — observes the exact
+    /// update, fault windows, invariant checks — observes the exact
     /// boundary sequence naive stepping would.
     ///
     /// Probe backoff: on a saturated machine the horizon is `now` nearly
@@ -841,12 +827,12 @@ impl System {
 
     /// Epoch heartbeat: SAT aggregation (through the fault layer when a
     /// plan is attached), governor update, pacer reprogramming, metrics
-    /// snapshot, fault-window refresh, watchdog.
+    /// snapshot, fault-window refresh, invariant checks.
     fn on_epoch_boundary(&mut self) {
         let now = self.now;
         // Boundary wake: the heartbeat reads and reprograms every
         // component (SAT aggregation, pacer periods, fault windows,
-        // sanitizer), so every parked domain is woken first — owed
+        // invariant checks), so every parked domain is woken first — owed
         // bookkeeping accrued through the epoch's last cycle, exactly as
         // naive stepping would have left it at this boundary.
         if self.skip_enabled && self.sched.any_parked() {
@@ -919,7 +905,6 @@ impl System {
             }
             mc_bytes[k] = per_class.iter().sum();
         }
-        let epoch_bytes: u64 = bytes_u64.iter().sum();
         self.push_epoch_figures(&bytes_u64);
         if !self.trace_sinks.is_empty() {
             let sat = or_sat(sats.iter().copied());
@@ -945,8 +930,6 @@ impl System {
                 }
             }
         }
-        self.check_forward_progress(now, epoch_bytes);
-        self.sanitize_epoch(now);
         self.check_invariants(now, epoch, &mc_bytes);
     }
 
@@ -985,76 +968,6 @@ impl System {
             return Some(!sat);
         }
         Some(sat)
-    }
-
-    /// Forward-progress watchdog: aborts with a full diagnostic snapshot
-    /// after `watchdog_epochs` consecutive epochs in which memory requests
-    /// were queued somewhere but zero bytes were delivered. Disabled when
-    /// `watchdog_epochs` is 0 (the default).
-    ///
-    /// The abort is a panic so the bench harness's per-cell isolation
-    /// turns it into a failure record instead of a dead sweep.
-    fn check_forward_progress(&mut self, now: Cycle, epoch_bytes: u64) {
-        if self.cfg.watchdog_epochs == 0 {
-            return;
-        }
-        let queued = self.mcs.iter().any(|m| m.pending() > 0)
-            || self.net.any_staged()
-            || !self.mshr_wait.is_empty();
-        if queued && epoch_bytes == 0 {
-            self.stalled_epochs += 1;
-        } else {
-            self.stalled_epochs = 0;
-        }
-        if self.stalled_epochs >= self.cfg.watchdog_epochs {
-            panic!("{}", self.watchdog_diagnostic(now));
-        }
-    }
-
-    /// Renders the watchdog abort diagnostic: governor, memory-controller,
-    /// and pacer snapshots plus the fault counter, one line each.
-    fn watchdog_diagnostic(&self, now: Cycle) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "watchdog: no forward progress for {} epochs (epoch {}, cycle {})",
-            self.stalled_epochs, self.epochs_run, now
-        );
-        for (i, mon) in self.monitors.iter().enumerate() {
-            let s = mon.snapshot();
-            let _ = writeln!(
-                out,
-                "  monitor[{i}]: m={} dm={} e={} stale={} degraded={}",
-                s.m, s.delta_m, s.steady_epochs, s.stale_epochs, s.degraded
-            );
-        }
-        for (k, mc) in self.mcs.iter().enumerate() {
-            let s = mc.snapshot();
-            let _ = writeln!(
-                out,
-                "  mc[{k}]: read_q={} write_q={} pending={} stalled={}",
-                s.read_q_depth, s.write_q_depth, s.pending, self.mc_stalled[k]
-            );
-        }
-        for (i, tile) in self.tiles.iter().enumerate() {
-            for (k, p) in tile.mem.pacers().iter().enumerate() {
-                let s = p.snapshot(now);
-                let _ = writeln!(
-                    out,
-                    "  pacer[tile {i}, mc {k}]: period={} credit={} issued={} throttled={}",
-                    s.period, s.credit, s.issued, s.throttled
-                );
-            }
-        }
-        let _ = writeln!(out, "  faults_injected={}", self.faults_injected);
-        let _ = writeln!(out, "  mechanism_hash={:#018x}", self.cfg.mechanism_hash());
-        let _ = writeln!(
-            out,
-            "  fault_plan_digest={:#018x}",
-            self.fault_plan.as_ref().map(FaultPlan::digest).unwrap_or(0)
-        );
-        out
     }
 
     /// Builds one [`EpochRecord`] for the epoch that just ended and hands
@@ -1097,8 +1010,7 @@ impl System {
         }
     }
 
-    /// Re-verifies the paper's accounting invariants at the epoch
-    /// boundary (no-op in plain release builds):
+    /// Evaluates the invariant laws for the epoch that just ended:
     ///
     /// * pacer credit never exceeds the burst window (§III-B3's bounded
     ///   `C_next` lag) — checked right after reprogramming, which clamps;
@@ -1106,52 +1018,15 @@ impl System {
     ///   monotonically nondecreasing (§III-C2);
     /// * memory-controller request conservation: accepted = completed +
     ///   pending, so no request is lost or double-counted;
-    /// * the SAT duty cycle is a valid fraction of epochs.
-    fn sanitize_epoch(&mut self, now: Cycle) {
-        if !self.sanitizer.enabled() {
-            return;
-        }
-        let san = &mut self.sanitizer;
-        for (i, tile) in self.tiles.iter().enumerate() {
-            // Period 0 means unthrottled: no credit bound to enforce.
-            for p in tile.mem.pacers().iter().filter(|p| p.period() > 0) {
-                san.check_le("pacer credit", i, p.credit_at(now), p.burst_window());
-            }
-        }
-        for (k, mc) in self.mcs.iter().enumerate() {
-            for c in 0..self.shares.classes() {
-                san.check_monotone("mc virtual clock", k, c, mc.virtual_clock(QosId::new(c as u8)));
-            }
-            let s = mc.stats();
-            san.check_conserved(
-                "mc requests",
-                k,
-                mc.accepted(),
-                s.reads + s.writes,
-                mc.pending() as u64,
-            );
-        }
-        // The staged-request counter that gates the per-cycle drain must
-        // agree with the actual class-queue contents.
-        for (k, counted, actual) in self.net.staged_conservation() {
-            san.check_conserved("net staged", k, counted, actual, 0);
-        }
-        let sat_epochs = self.metrics.sat_series.iter().filter(|&&s| s).count() as u64;
-        san.check_fraction("sat duty", 0, sat_epochs, self.metrics.sat_series.len() as u64);
-    }
-
-    /// Evaluates the release-mode invariant laws for the epoch that just
-    /// ended, recording (never panicking on) violations. The same
-    /// accounting laws the debug sanitizer enforces, plus the families
-    /// only this checker covers: queue occupancy vs. configured
-    /// capacity, the DPQ worst-case service bound (when
-    /// `invariants.bound_checks` promoted it to release mode), and
-    /// per-controller forward-progress liveness. `mc_bytes` carries each
-    /// controller's delivered bytes this epoch.
+    /// * queue occupancy vs. configured capacity, and the staged-request
+    ///   counter vs. the interconnect's class queues;
+    /// * the DPQ worst-case service bound (when `invariants.bound_checks`
+    ///   promoted it to release mode);
+    /// * the SAT duty cycle is a valid fraction of epochs;
+    /// * per-controller forward progress (when a liveness window is set).
+    ///
+    /// `mc_bytes` carries each controller's delivered bytes this epoch.
     fn check_invariants(&mut self, now: Cycle, epoch: u64, mc_bytes: &[u64]) {
-        if !self.invariants.enabled() {
-            return;
-        }
         let inv = &mut self.invariants;
         inv.begin_epoch(epoch, now);
         for (i, tile) in self.tiles.iter().enumerate() {
@@ -1208,8 +1083,7 @@ impl System {
         let sat_epochs = self.metrics.sat_series.iter().filter(|&&s| s).count() as u64;
         inv.check_le("sat duty", 0, sat_epochs, self.metrics.sat_series.len() as u64, String::new);
         // Per-controller liveness: a controller with queued requests
-        // must deliver bytes within the configured window — the
-        // watchdog's panic generalized to a per-component report.
+        // must deliver bytes within the configured window.
         for (k, &bytes) in mc_bytes.iter().enumerate() {
             let pending = self.mcs[k].pending();
             inv.check_progress("mc service", k, bytes > 0, pending > 0, || {
@@ -1219,15 +1093,15 @@ impl System {
     }
 
     /// The accumulated runtime-invariant report (see
-    /// [`pabst_simkit::invariant`]). Empty when checking is disabled.
+    /// [`pabst_simkit::invariant`]). Holds violations only under
+    /// [`ViolationPolicy::Record`](pabst_simkit::invariant::ViolationPolicy::Record).
     pub fn invariant_report(&self) -> &InvariantReport {
         self.invariants.report()
     }
 
     /// True when memory work is queued anywhere in the machine
     /// (controller queues, staged network requests, or the L3 MSHR
-    /// retry queue) — the same predicate the forward-progress watchdog
-    /// uses, exposed for campaign timeout classification.
+    /// retry queue), exposed for campaign timeout classification.
     pub fn has_pending_work(&self) -> bool {
         self.mcs.iter().any(|m| m.pending() > 0)
             || self.net.any_staged()
@@ -1282,8 +1156,7 @@ impl SystemBuilder {
     }
 
     /// Overrides quiescence-aware cycle skipping for this system. The
-    /// default is on, unless the `PABST_NO_SKIP` environment variable is
-    /// set (non-empty) — the A/B switch the equivalence CI job flips.
+    /// default is on, unless [`force_no_skip`] was called.
     /// Skipping is an execution strategy, not a model parameter: every
     /// observable output is byte-identical either way.
     pub fn skip(mut self, enabled: bool) -> Self {
@@ -1398,10 +1271,8 @@ impl SystemBuilder {
             })
             .collect();
         let faults_injected = mc_stalled.iter().filter(|&&s| s).count() as u64;
-        let skip_enabled = self.skip.unwrap_or_else(|| {
-            !FORCE_NO_SKIP.load(std::sync::atomic::Ordering::Relaxed)
-                && std::env::var_os("PABST_NO_SKIP").is_none_or(|v| v.is_empty())
-        });
+        let skip_enabled =
+            self.skip.unwrap_or_else(|| !FORCE_NO_SKIP.load(std::sync::atomic::Ordering::Relaxed));
         Ok(System {
             metrics: Metrics::new(cores, classes, self.cfg.epoch_cycles),
             l3,
@@ -1422,7 +1293,6 @@ impl SystemBuilder {
             probe_backoff: 1,
             probe_cap: self.probe_cap.unwrap_or(System::DEFAULT_PROBE_BACKOFF_CAP),
             epochs_run: 0,
-            sanitizer: Sanitizer::new(),
             invariants: InvariantChecker::new(self.cfg.invariants),
             trace_sinks: Vec::new(),
             prev_throttles: vec![0; cores],
@@ -1432,7 +1302,6 @@ impl SystemBuilder {
             mc_stalled,
             mc_stall_cycles: 0,
             faults_injected,
-            stalled_epochs: 0,
             fault_plan: self.fault_plan,
             cfg: self.cfg,
             mode: self.mode,
@@ -1497,15 +1366,14 @@ mod tests {
     }
 
     #[test]
-    fn sanitizer_checks_run_every_epoch() {
-        // Test builds carry debug_assertions, so the epoch sanitizer is
-        // live and must have evaluated its invariants.
+    fn invariant_checks_run_every_epoch_by_default() {
+        // The default config checks every law family but liveness, in
+        // every build profile.
         let cfg = SystemConfig::small_test();
         let mut sys =
             SystemBuilder::new(cfg, RegulationMode::Pabst).class(1, idle_boxes(2)).build().unwrap();
         sys.run_epochs(2);
-        assert!(sys.sanitizer().enabled());
-        assert!(sys.sanitizer().checks_run() > 0);
+        assert!(sys.invariant_report().checks_run() > 0);
     }
 
     /// Total demand reads staged toward the memory controllers.
@@ -1626,6 +1494,7 @@ mod tests {
     }
 
     use pabst_simkit::fault::FaultSpec;
+    use pabst_simkit::invariant::{InvariantConfig, InvariantLaw, ViolationPolicy};
     use pabst_workloads::{Region, StreamGen};
 
     /// Memory-bound read streamers over a region far larger than the L3,
@@ -1652,11 +1521,12 @@ mod tests {
 
     #[test]
     fn watchdog_fires_on_a_permanently_stalled_mc() {
+        // A liveness window under the default panicking policy is the
+        // forward-progress watchdog.
         let mut cfg = SystemConfig::small_test();
-        cfg.watchdog_epochs = 3;
+        cfg.invariants.liveness_epochs = 3;
         let mut plan = FaultPlan::new();
         plan.push(always(FaultKind::McStall, 0, 0));
-        let digest = plan.digest();
         let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)
             .class(1, stream_boxes(2))
             .fault_plan(plan)
@@ -1665,26 +1535,16 @@ mod tests {
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             sys.run_epochs(20);
         }))
-        .expect_err("a fully stalled memory system must trip the watchdog");
-        let msg =
-            panic.downcast_ref::<String>().cloned().unwrap_or_else(|| "<non-string panic>".into());
-        assert!(msg.starts_with("watchdog: no forward progress"), "{msg}");
-        assert!(msg.contains("mc[0]"), "diagnostic must include MC snapshots: {msg}");
-        assert!(msg.contains("monitor[0]"), "diagnostic must include governor state: {msg}");
-        assert!(
-            msg.contains(&format!("mechanism_hash={:#018x}", cfg.mechanism_hash())),
-            "diagnostic must carry mechanism provenance: {msg}"
-        );
-        assert!(
-            msg.contains(&format!("fault_plan_digest={:#018x}", digest)),
-            "diagnostic must carry the fault-plan digest: {msg}"
-        );
+        .expect_err("a fully stalled memory system must trip liveness");
+        let msg = panic.downcast_ref::<String>().map_or("<non-string panic>", String::as_str);
+        assert!(msg.contains("[liveness] mc service[0]"), "{msg}");
+        assert!(msg.contains("stalled=true"), "diagnostic must carry the MC snapshot: {msg}");
     }
 
     #[test]
     fn watchdog_is_silent_on_a_healthy_run() {
         let mut cfg = SystemConfig::small_test();
-        cfg.watchdog_epochs = 2;
+        cfg.invariants.liveness_epochs = 2;
         let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)
             .class(1, stream_boxes(2))
             .build()
@@ -1749,7 +1609,7 @@ mod tests {
     #[test]
     fn finite_mc_stall_window_recovers_without_deadlock() {
         let mut cfg = SystemConfig::small_test();
-        cfg.watchdog_epochs = 5;
+        cfg.invariants.liveness_epochs = 5;
         let mut plan = FaultPlan::new();
         plan.push(FaultSpec {
             kind: FaultKind::McStall,
@@ -1788,11 +1648,11 @@ mod tests {
 
     #[test]
     fn liveness_invariant_reports_a_wedged_mc_without_panicking() {
-        // Same wedge the watchdog test aborts on — but with the watchdog
-        // off and a liveness window configured, the run completes and
-        // the stall is *recorded* as a typed violation instead.
+        // Same wedge the watchdog test aborts on — but under the
+        // recording policy the run completes and the stall is
+        // *recorded* as a typed violation instead.
         let mut cfg = SystemConfig::small_test();
-        cfg.watchdog_epochs = 0;
+        cfg.invariants.policy = ViolationPolicy::Record;
         cfg.invariants.liveness_epochs = 3;
         let mut plan = FaultPlan::new();
         plan.push(always(FaultKind::McStall, 0, 0));
@@ -1806,7 +1666,7 @@ mod tests {
         let report = sys.invariant_report();
         assert!(!report.is_clean(), "a permanently wedged MC must trip liveness");
         let v = &report.violations()[0];
-        assert_eq!(v.law, pabst_simkit::invariant::InvariantLaw::Liveness);
+        assert_eq!(v.law, InvariantLaw::Liveness);
         assert_eq!(v.name, "mc service");
         assert!(v.detail.contains("stalled=true"), "{}", v.detail);
         assert!(sys.has_pending_work(), "the wedge leaves requests queued");
@@ -1815,10 +1675,10 @@ mod tests {
     #[test]
     fn invariant_checking_is_observation_only() {
         // The acceptance criterion behind leaving the checker on in
-        // golden runs: enabling every invariant family (including the
+        // golden runs: arming every invariant family (including the
         // release-promoted DPQ bound and a liveness window) must not
         // perturb a single trace field.
-        let run = |inv: pabst_simkit::invariant::InvariantConfig| {
+        let run = |inv: InvariantConfig| {
             let mut cfg = SystemConfig::small_test();
             cfg.invariants = inv;
             let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)
@@ -1831,17 +1691,13 @@ mod tests {
             let records = cap.0.borrow().clone();
             records
         };
-        let off = run(pabst_simkit::invariant::InvariantConfig {
-            enabled: false,
-            bound_checks: false,
-            liveness_epochs: 0,
-        });
-        let on = run(pabst_simkit::invariant::InvariantConfig {
-            enabled: true,
+        let default = run(InvariantConfig::default());
+        let armed = run(InvariantConfig {
             bound_checks: true,
             liveness_epochs: 1,
+            ..InvariantConfig::default()
         });
-        assert_eq!(off, on, "the checker must read state, never mutate it");
+        assert_eq!(default, armed, "the checker must read state, never mutate it");
     }
 
     #[test]

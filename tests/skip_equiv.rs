@@ -9,7 +9,7 @@
 //! diverge: every regulation mode (pacer reprogramming on and off),
 //! pointer-chasing memory stalls (the deepest quiescent windows), write
 //! drains, MSHR-full refusals of store-heavy traffic, skewed-controller
-//! traffic, per-MC regulation, L3-way overrides, an armed watchdog, the
+//! traffic, per-MC regulation, L3-way overrides, an armed liveness window, the
 //! distance-modelled mesh network at
 //! 64 and 256 tiles (staged link arbitration), idle-heavy mesh mixes
 //! where tile-local parking (not the global jump) does the work, partial
@@ -221,10 +221,10 @@ fn cells() -> Vec<Cell> {
             }),
         ),
         cell(
-            "watchdog-armed/streams",
+            "liveness-armed/streams",
             Box::new(move || {
                 let mut c = small();
-                c.watchdog_epochs = 5;
+                c.invariants.liveness_epochs = 5;
                 SystemBuilder::new(c, RegulationMode::Pabst)
                     .class(3, streams(2, 13))
                     .class(1, streams(2, 113))
