@@ -64,6 +64,24 @@ fn bench_cache() {
         m.alloc(l, mline);
         std::hint::black_box(m.complete(l));
     });
+
+    // L3-sized tables held one below full, as under a streaming load: each
+    // iteration admits the next line and retires the oldest in flight.
+    for capacity in [512u64, 2048] {
+        let mut m: MshrTable<u64> = MshrTable::new(capacity as usize);
+        for l in 0..capacity - 1 {
+            m.alloc(LineAddr::new(l), l);
+        }
+        let mut oldest = 0u64;
+        let mut out = Vec::new();
+        bench(&format!("cache/l3_mshr_alloc_complete/{capacity}"), 1_000_000, || {
+            m.alloc(LineAddr::new(oldest + capacity - 1), oldest);
+            out.clear();
+            m.complete_into(LineAddr::new(oldest), &mut out);
+            oldest += 1;
+            std::hint::black_box(out.len());
+        });
+    }
 }
 
 fn bench_dram() {

@@ -21,6 +21,13 @@ pub enum MshrOutcome {
     Full,
 }
 
+/// Hash multiplier of the line index: 2^64 / φ (Fibonacci hashing), which
+/// spreads consecutive line numbers across the slot table.
+const LINE_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// An index slot that holds no entry.
+const EMPTY: u32 = u32::MAX;
+
 /// A finite MSHR table with per-line waiter lists.
 ///
 /// `W` is the caller's waiter token (e.g. a core-side load id).
@@ -38,12 +45,20 @@ pub enum MshrOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MshrTable<W> {
-    /// In-flight entries in a flat insertion-ordered table. The table is
-    /// small (hardware MSHR counts), so linear tag search beats a tree or
-    /// hash both in host-cache behavior and in allocation traffic; all
-    /// lookups are by exact line, so the ordering is never observable —
-    /// the determinism requirement (simlint L1) holds trivially.
+    /// In-flight entries, densely packed; `complete` swap-removes.
     entries: Vec<(LineAddr, Vec<W>)>,
+    /// Line → entry index, so a lookup is O(1) at any capacity (an L3
+    /// table holds 512–2048 entries). Open addressing over a power-of-two
+    /// table at least twice the capacity, a fixed multiplicative hash of
+    /// the line number, linear probing, and backward-shift deletion (no
+    /// tombstones). Each slot holds an index into `entries`, or [`EMPTY`].
+    /// The hash is a constant, not a per-process seed, and nothing
+    /// iterates the table: every lookup is by exact line, so slot and
+    /// entry order are never observable and determinism (simlint's
+    /// `hash-map` rule) holds.
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: the hash keeps the product's top bits.
+    shift: u32,
     capacity: usize,
     peak: usize,
     /// Recycled waiter lists: completing a miss returns its `Vec` here so
@@ -56,33 +71,97 @@ impl<W> MshrTable<W> {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or does not fit the `u32` index.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "MSHR capacity must be non-zero");
-        Self { entries: Vec::with_capacity(capacity), capacity, peak: 0, pool: Vec::new() }
+        assert!(capacity < EMPTY as usize, "MSHR capacity must fit a u32 index");
+        let slots = (2 * capacity).next_power_of_two();
+        Self {
+            entries: Vec::with_capacity(capacity),
+            slots: vec![EMPTY; slots],
+            shift: u64::BITS - slots.trailing_zeros(),
+            capacity,
+            peak: 0,
+            pool: Vec::new(),
+        }
+    }
+
+    /// The slot `line` hashes to: the first one its probe visits.
+    fn home(&self, line: LineAddr) -> usize {
+        (line.get().wrapping_mul(LINE_HASH) >> self.shift) as usize
+    }
+
+    /// Probes for `line`: `Ok(slot)` holding its entry, or `Err(slot)`,
+    /// the empty slot that ends its probe chain. The table is at most
+    /// half full, so an empty slot always exists.
+    fn probe(&self, line: LineAddr) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(line);
+        loop {
+            match self.slots[i] {
+                EMPTY => return Err(i),
+                e if self.entries[e as usize].0 == line => return Ok(i),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Empties `hole` and shifts later members of its probe run back, so
+    /// every entry stays reachable from its home slot without tombstones.
+    fn unlink(&mut self, mut hole: usize) {
+        let mask = self.slots.len() - 1;
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let e = self.slots[j];
+            if e == EMPTY {
+                break;
+            }
+            // The entry at `j` may move into the hole only if the hole
+            // lies on its probe path, i.e. cyclically in `home..j`.
+            let home = self.home(self.entries[e as usize].0);
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.slots[hole] = e;
+                hole = j;
+            }
+        }
+        self.slots[hole] = EMPTY;
     }
 
     /// Attempts to register a miss on `line` for `waiter`.
     pub fn alloc(&mut self, line: LineAddr, waiter: W) -> MshrOutcome {
-        if let Some((_, waiters)) = self.entries.iter_mut().find(|(l, _)| *l == line) {
-            waiters.push(waiter);
-            return MshrOutcome::Secondary;
+        match self.probe(line) {
+            Ok(slot) => {
+                self.entries[self.slots[slot] as usize].1.push(waiter);
+                MshrOutcome::Secondary
+            }
+            Err(_) if self.is_full() => MshrOutcome::Full,
+            Err(slot) => {
+                let mut waiters = self.pool.pop().unwrap_or_default();
+                waiters.push(waiter);
+                self.slots[slot] = self.entries.len() as u32;
+                self.entries.push((line, waiters));
+                self.peak = self.peak.max(self.entries.len());
+                MshrOutcome::Primary
+            }
         }
-        if self.entries.len() >= self.capacity {
-            return MshrOutcome::Full;
-        }
-        let mut waiters = self.pool.pop().unwrap_or_default();
-        waiters.push(waiter);
-        self.entries.push((line, waiters));
-        self.peak = self.peak.max(self.entries.len());
-        MshrOutcome::Primary
     }
 
     /// Completes the miss on `line`, appending all merged waiters to
     /// `out` (none when no entry existed) and recycling the entry's
     /// storage. The allocation-free form production fill paths use.
     pub fn complete_into(&mut self, line: LineAddr, out: &mut Vec<W>) {
-        let Some(i) = self.entries.iter().position(|(l, _)| *l == line) else { return };
+        let Ok(slot) = self.probe(line) else { return };
+        let i = self.slots[slot] as usize;
+        self.unlink(slot);
+        // `swap_remove` moves the last entry into `i`: repoint its slot.
+        let last = self.entries.len() - 1;
+        if i != last {
+            let Ok(moved) = self.probe(self.entries[last].0) else {
+                unreachable!("every entry is indexed")
+            };
+            self.slots[moved] = i as u32;
+        }
         let (_, mut waiters) = self.entries.swap_remove(i);
         out.append(&mut waiters);
         self.pool.push(waiters);
@@ -99,7 +178,7 @@ impl<W> MshrTable<W> {
 
     /// True when `line` has an in-flight entry.
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.entries.iter().any(|(l, _)| *l == line)
+        self.probe(line).is_ok()
     }
 
     /// Outstanding primary misses.

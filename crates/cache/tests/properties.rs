@@ -145,3 +145,113 @@ fn mshr_waiters_conserved() {
         assert!(outstanding.is_empty(), "seed {seed}: lost waiters: {outstanding:?}");
     }
 }
+
+/// The linear-scan MSHR table the indexed one replaced, verbatim but for
+/// the pool: the reference the line index must match step for step.
+struct LinearMshr<W> {
+    entries: Vec<(LineAddr, Vec<W>)>,
+    capacity: usize,
+    peak: usize,
+}
+
+impl<W> LinearMshr<W> {
+    fn new(capacity: usize) -> Self {
+        Self { entries: Vec::with_capacity(capacity), capacity, peak: 0 }
+    }
+
+    fn alloc(&mut self, line: LineAddr, waiter: W) -> MshrOutcome {
+        if let Some((_, waiters)) = self.entries.iter_mut().find(|(l, _)| *l == line) {
+            waiters.push(waiter);
+            return MshrOutcome::Secondary;
+        }
+        if self.entries.len() >= self.capacity {
+            return MshrOutcome::Full;
+        }
+        self.entries.push((line, vec![waiter]));
+        self.peak = self.peak.max(self.entries.len());
+        MshrOutcome::Primary
+    }
+
+    fn complete_into(&mut self, line: LineAddr, out: &mut Vec<W>) {
+        let Some(i) = self.entries.iter().position(|(l, _)| *l == line) else { return };
+        let (_, mut waiters) = self.entries.swap_remove(i);
+        out.append(&mut waiters);
+    }
+
+    fn contains(&self, line: LineAddr) -> bool {
+        self.entries.iter().any(|(l, _)| *l == line)
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn is_full(&self) -> bool {
+        self.entries.len() >= self.capacity
+    }
+}
+
+/// The line-indexed MSHR table matches the linear-scan reference on
+/// every step: outcomes, per-line waiter order, `len`, `is_full`,
+/// `peak`, and `contains`. Each table is held at or near full over a pool
+/// of lines only a quarter larger than its capacity, so most slots' probe
+/// runs are occupied, chains form, and deletions shift entries back,
+/// across the end of the slot table too. Even seeds draw the pool as
+/// consecutive lines (a streaming pattern), odd seeds as scattered ones.
+#[test]
+fn indexed_mshr_matches_linear_reference() {
+    for capacity in [1usize, 16, 512, 2048] {
+        for seed in 0..8u64 {
+            let mut rng = SimRng::seed_from_u64(seed ^ 0x15d7 ^ ((capacity as u64) << 20));
+            let mut dut: MshrTable<u64> = MshrTable::new(capacity);
+            let mut reference: LinearMshr<u64> = LinearMshr::new(capacity);
+            let base = rng.gen_range(0..1 << 40);
+            let pool: Vec<LineAddr> = (0..capacity as u64 + 1 + capacity as u64 / 4)
+                .map(|i| {
+                    LineAddr::new(if seed % 2 == 0 { base + i } else { rng.gen_range(0..1 << 48) })
+                })
+                .collect();
+            let pick = |rng: &mut SimRng| pool[rng.gen_range(0..pool.len() as u64) as usize];
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for step in 0..(20 * capacity + 200) {
+                let line = pick(&mut rng);
+                // Allocate more often than complete while below full, so
+                // the table climbs to full and then hovers there.
+                let alloc_bias = if reference.is_full() { 0.5 } else { 0.7 };
+                if rng.gen_bool(alloc_bias) {
+                    let w = step as u64;
+                    assert_eq!(
+                        dut.alloc(line, w),
+                        reference.alloc(line, w),
+                        "capacity {capacity} seed {seed} step {step}: alloc of {line:?}"
+                    );
+                } else {
+                    got.clear();
+                    want.clear();
+                    dut.complete_into(line, &mut got);
+                    reference.complete_into(line, &mut want);
+                    assert_eq!(
+                        got, want,
+                        "capacity {capacity} seed {seed} step {step}: waiters of {line:?}"
+                    );
+                }
+                let probe = pick(&mut rng);
+                assert_eq!(
+                    dut.contains(probe),
+                    reference.contains(probe),
+                    "capacity {capacity} seed {seed} step {step}: contains {probe:?}"
+                );
+                assert_eq!(dut.len(), reference.len(), "capacity {capacity} seed {seed}");
+                assert_eq!(dut.is_full(), reference.is_full(), "capacity {capacity} seed {seed}");
+                assert_eq!(dut.peak(), reference.peak, "capacity {capacity} seed {seed}");
+            }
+            // Drain: every line gives back the same waiters.
+            for &line in &pool {
+                want.clear();
+                reference.complete_into(line, &mut want);
+                assert_eq!(dut.complete(line), want, "capacity {capacity} seed {seed}: drain");
+            }
+            assert!(dut.is_empty(), "capacity {capacity} seed {seed}: drained table not empty");
+        }
+    }
+}

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use pabst_cache::{LineAddr, MshrTable, SetAssocCache, WayMask};
+use pabst_cache::{LineAddr, MshrOutcome, MshrTable, SetAssocCache, WayMask};
 use pabst_core::governor::{DeltaDir, Governor, RateDir, RateGenerator, GOVERNOR_STRIDE_SCALE};
 use pabst_core::pacer::Pacer;
 use pabst_core::qos::{QosId, ShareTable};
@@ -449,7 +449,7 @@ impl System {
         // one still blocked unblocks only via an MC completion, which the
         // controller horizons below already bound.
         if let Some(req) = self.mshr_wait.front() {
-            if self.l3_mshrs.contains(req.line) || !self.l3_mshrs.is_full() {
+            if !self.l3_mshrs.is_full() || self.l3_mshrs.contains(req.line) {
                 return Some(now);
             }
         }
@@ -638,19 +638,13 @@ impl System {
     fn l3_service(&mut self, now: Cycle) {
         // Retry MSHR-refused misses first (oldest first). A waiting miss
         // whose line gained an MSHR entry since it was refused (another
-        // tile's miss to the same line was admitted) must merge as a
-        // secondary, not re-admit: re-admitting would enqueue a duplicate
-        // DRAM read for the line.
+        // tile's miss to the same line was admitted) merges as a
+        // secondary, so no duplicate DRAM read is enqueued for the line.
         while let Some(&req) = self.mshr_wait.front() {
-            if self.l3_mshrs.contains(req.line) {
-                self.mshr_wait.pop_front();
-                self.l3_mshrs.alloc(req.line, L3Waiter { tile: req.tile, store: req.store });
-            } else if self.l3_mshrs.is_full() {
+            if !self.admit_miss(now, req) {
                 break;
-            } else {
-                self.mshr_wait.pop_front();
-                self.admit_miss(now, req);
             }
+            self.mshr_wait.pop_front();
         }
         // Bounded number of L3 operations per cycle (banked array).
         for _ in 0..4 {
@@ -677,28 +671,32 @@ impl System {
                 );
                 continue;
             }
-            if self.l3_mshrs.contains(req.line) {
-                // Secondary miss: merge.
-                self.l3_mshrs.alloc(req.line, L3Waiter { tile: req.tile, store: req.store });
-            } else if self.l3_mshrs.is_full() {
+            if !self.admit_miss(now, req) {
                 self.mshr_wait.push_back(req);
-            } else {
-                self.admit_miss(now, req);
             }
         }
     }
 
-    /// Allocates the L3 MSHR for a primary miss and stages it toward its
-    /// home memory controller (per the topology's channel map).
-    fn admit_miss(&mut self, now: Cycle, req: L3Req) {
-        debug_assert!(!req.l2_wb && !self.l3_mshrs.contains(req.line));
-        self.l3_mshrs.alloc(req.line, L3Waiter { tile: req.tile, store: req.store });
-        let mc = self.net.channel_of(req.line);
-        self.net.stage(
-            now,
-            mc,
-            MemReq { line: req.line, class: req.class, is_write: false, token: 0 },
-        );
+    /// Registers an L3 miss with one MSHR allocation and acts on its
+    /// outcome: a secondary merges into the line's entry, a primary
+    /// stages toward its home memory controller (per the topology's
+    /// channel map). Returns false, changing nothing, when the table is
+    /// full and the miss must wait.
+    fn admit_miss(&mut self, now: Cycle, req: L3Req) -> bool {
+        debug_assert!(!req.l2_wb, "L2 writebacks never take an L3 MSHR");
+        match self.l3_mshrs.alloc(req.line, L3Waiter { tile: req.tile, store: req.store }) {
+            MshrOutcome::Full => return false,
+            MshrOutcome::Secondary => {}
+            MshrOutcome::Primary => {
+                let mc = self.net.channel_of(req.line);
+                self.net.stage(
+                    now,
+                    mc,
+                    MemReq { line: req.line, class: req.class, is_write: false, token: 0 },
+                );
+            }
+        }
+        true
     }
 
     /// Routes a memory-controller completion: reads fill the L3 and wake
@@ -1392,8 +1390,7 @@ mod tests {
         // Two misses to the same line are refused while the L3 MSHR table
         // is full. Once space frees, the retry loop must admit the first
         // and merge the second as a secondary — not re-admit it, which
-        // would enqueue a duplicate DRAM read (and trip admit_miss's
-        // debug_assert in test builds).
+        // would enqueue a duplicate DRAM read.
         let mut cfg = SystemConfig::small_test();
         cfg.l3_mshrs = 2;
         let mut sys =

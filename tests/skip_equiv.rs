@@ -8,8 +8,9 @@
 //! The matrix deliberately covers the paths where a wrong horizon would
 //! diverge: every regulation mode (pacer reprogramming on and off),
 //! pointer-chasing memory stalls (the deepest quiescent windows), write
-//! drains, MSHR-full refusals of store-heavy traffic, skewed-controller
-//! traffic, per-MC regulation, L3-way overrides, an armed liveness window, the
+//! drains, MSHR-full refusals of store-heavy traffic, misses waiting on
+//! an exhausted L3 MSHR table, skewed-controller traffic, per-MC
+//! regulation, L3-way overrides, an armed liveness window, the
 //! distance-modelled mesh network at
 //! 64 and 256 tiles (staged link arbitration), idle-heavy mesh mixes
 //! where tile-local parking (not the global jump) does the work, partial
@@ -228,6 +229,21 @@ fn cells() -> Vec<Cell> {
                 SystemBuilder::new(c, RegulationMode::Pabst)
                     .class(3, streams(2, 13))
                     .class(1, streams(2, 113))
+            }),
+        ),
+        cell(
+            "l3-mshr-exhaustion",
+            Box::new(move || {
+                // An L3 MSHR table far smaller than the streams' misses in
+                // flight: refused misses queue in `mshr_wait` and retry as
+                // entries free, which keeps the horizon's `mshr_wait`
+                // check answering in both arms.
+                let mut c = SystemConfig::baseline_32core();
+                c.l3_mshrs = 8;
+                c.epoch_cycles = 2_000;
+                SystemBuilder::new(c, RegulationMode::Pabst)
+                    .class(3, streams(2, 35))
+                    .class(1, streams(2, 135))
             }),
         ),
         cell(
