@@ -41,7 +41,8 @@ struct Profile {
     /// per-tile stepping the domain scheduler elided (global jump
     /// windows included: a jump parks everything).
     tile_skip_rate: f64,
-    /// Controller-cycles elided by controller parking during the window.
+    /// Controller-cycles accrued by global jumps during the window
+    /// (controllers never park; a jump skips every live one).
     mc_cycles_skipped: u64,
     /// `mc_cycles_skipped / (cycles_timed * mcs)`.
     mc_skip_rate: f64,
@@ -112,8 +113,8 @@ fn build_capped(name: &str, skip: bool, cap: Option<u64>) -> System {
 }
 
 /// What one timed window measured: wall clock plus the three skip
-/// counters (global jumps, tile-cycles parked, controller-cycles
-/// parked) and the domain counts that normalise the latter two.
+/// counters (global jumps, tile-cycles parked, controller-cycles the
+/// jumps accrued) and the domain counts that normalise the latter two.
 struct TimedRun {
     elapsed_ns: u128,
     cycles_per_sec: u64,
@@ -164,7 +165,7 @@ fn profile(name: &'static str, epochs: u64) -> Profile {
     let mc_rate = timed.mc_cycles_skipped as f64 / (cycles * timed.mcs) as f64;
     println!(
         "{name:<12} {epochs:>3} epochs x {epoch_cycles} cycles in {:>8.1} ms  ->  {} cycles/s \
-         (global skip {:.1}%, tile-local {:.1}%, mc-local {:.1}%, naive {} cycles/s)",
+         (global skip {:.1}%, tile-local {:.1}%, mc jumped {:.1}%, naive {} cycles/s)",
         timed.elapsed_ns as f64 / 1e6,
         timed.cycles_per_sec,
         rate * 100.0,

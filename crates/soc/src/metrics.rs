@@ -35,6 +35,10 @@ pub struct Metrics {
     /// `docs/PERFORMANCE.md`). Purely diagnostic: never reported in traces
     /// or experiment JSON, so skip-on and skip-off runs stay byte-identical.
     pub cycles_skipped: u64,
+    /// Controller-cycles the global jump accrued instead of stepping:
+    /// each jump adds its length once per controller not frozen by an
+    /// mc-stall window. Diagnostic only, like `cycles_skipped`.
+    pub mc_cycles_skipped: u64,
 }
 
 impl Metrics {
@@ -52,6 +56,7 @@ impl Metrics {
             bytes_at_start: [0; MAX_CLASSES],
             last_marker: vec![None; cores],
             cycles_skipped: 0,
+            mc_cycles_skipped: 0,
         }
     }
 

@@ -318,15 +318,6 @@ impl Interconnect {
         self.cached_next = Some(fresh);
         fresh
     }
-
-    /// True when a staged request toward controller `k` is past its hop
-    /// delay, i.e. this cycle's drain may push into `k`'s ingress. The
-    /// domain scheduler uses this as the push-wake edge for a parked
-    /// idle controller.
-    pub(crate) fn mc_admissible(&self, k: usize, now: Cycle) -> bool {
-        self.staged_pending[k] > 0
-            && self.staged[k].iter().any(|q| matches!(q.front(), Some(&(ready, _)) if ready <= now))
-    }
 }
 
 #[cfg(test)]
@@ -426,8 +417,6 @@ mod tests {
         let hop = t.hop_lat * Topology::hops(t.l3_pos(), t.mc_pos(0, cfg.mcs));
         assert_eq!(net.next_event_memo(0), Some(hop));
         assert_eq!(net.next_event_memo(hop + 2), Some(hop + 2));
-        assert!(net.mc_admissible(0, hop), "ready staged head is admissible");
-        assert!(!net.mc_admissible(0, hop - 1), "not before its hop elapses");
     }
 
     #[test]

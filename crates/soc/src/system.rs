@@ -61,9 +61,10 @@ pub struct System {
     /// Event-horizon fast-forward active (the default; cleared by
     /// [`force_no_skip`] or [`SystemBuilder::skip`]).
     skip_enabled: bool,
-    /// Park/unpark scheduler over the per-tile and per-controller skip
-    /// domains (see [`crate::sched::DomainSched`]). Structurally inert
-    /// when skipping is disabled: nothing ever parks.
+    /// Park/unpark scheduler over the per-tile skip domains (see
+    /// [`crate::sched::DomainSched`]). Structurally inert when skipping
+    /// is disabled: nothing ever parks, so every wake is a no-op.
+    /// Controllers are not domains: they step every stepped cycle.
     sched: DomainSched,
     /// Next cycle at which [`System::advance`] probes the horizon. Purely
     /// a host-side pacing knob: simulated behavior never depends on it.
@@ -133,11 +134,14 @@ impl System {
     /// override with [`SystemBuilder::probe_backoff_cap`]). Small enough
     /// that the start of a quiescent window is never missed by more than
     /// a handful of naive steps, large enough that a saturated machine
-    /// pays for at most one probe every eight cycles — the
-    /// `sim_throughput` backoff sweep shows cap 1 costs ~5% on the
-    /// saturated baseline and every cap from 2 upward is within noise
-    /// (tile-local parking, not probe cadence, now carries the
-    /// idle-heavy configs), so the historical value stands.
+    /// pays for at most one probe every eight cycles. The committed
+    /// `sim_throughput` backoff sweep, taken while controllers still
+    /// parked, read 876,842 cycles/s at cap 1, 995,717 at cap 2 and
+    /// 1,350,315 at cap 8 on the baseline: cap 1 cost ~35% and cap 2
+    /// ~26%. That sweep is a single run; medians of eight full runs on
+    /// a 2-vCPU Xeon VM, without controller parking, read 1.01M, 1.14M
+    /// and 1.16M. Small caps cost speed and no larger cap clearly beats
+    /// 8, so the historical value stands.
     pub const DEFAULT_PROBE_BACKOFF_CAP: u64 = 8;
 
     /// Current simulated cycle.
@@ -183,11 +187,13 @@ impl System {
         self.sched.tile_cycles()
     }
 
-    /// Controller-cycles elided by controller parking (always zero when
-    /// skipping is disabled). Diagnostic only; see
-    /// [`System::tile_cycles_skipped`].
+    /// Controller-cycles accrued by global jumps instead of stepped
+    /// (always zero when skipping is disabled): each jump counts its
+    /// length once per controller not frozen by an mc-stall window.
+    /// Controllers never park, so outside jumps every live controller
+    /// steps. Diagnostic only; see [`System::tile_cycles_skipped`].
     pub fn mc_cycles_skipped(&self) -> u64 {
-        self.sched.mc_cycles()
+        self.metrics.mc_cycles_skipped
     }
 
     /// Whether quiescence-aware cycle skipping is active.
@@ -402,12 +408,10 @@ impl System {
             }
         }
         // Settle: callers (measurement marks, stats readers, reports) must
-        // observe fully-accrued state, so no domain stays parked across a
-        // return. Domains re-park at the next probe; behavior over the
+        // observe fully-accrued state, so no tile stays parked across a
+        // return. Tiles re-park at the next probe; behavior over the
         // parked window is already fixed, so settling is invisible.
-        if self.skip_enabled && self.sched.any_parked() {
-            self.sched.wake_all(self.now, &mut self.tiles, &mut self.mcs);
-        }
+        self.sched.wake_all(self.now, &mut self.tiles);
     }
 
     /// The event horizon: the earliest cycle at which any component may
@@ -425,15 +429,15 @@ impl System {
     /// every check below short-circuits to `now` on any doubt. Checks are
     /// ordered cheapest-first.
     ///
-    /// The probe is also where domains **park** (see
-    /// [`crate::sched::DomainSched`]): a tile or controller whose
-    /// `next_event` answer lies in the future is inert on its own — even
-    /// if some *other* component forces this probe to answer "due" — so
-    /// it is handed to the domain scheduler with that answer as its
-    /// cached wake time. Parked domains fold their cached answer here
-    /// instead of recomputing (the memoization), and a parked domain
-    /// whose cached wake has arrived reads as due: the step loop's
-    /// due-scan wakes it.
+    /// Controllers fold their `next_event` answer directly; they never
+    /// park. The probe is where tiles **park** (see
+    /// [`crate::sched::DomainSched`]): a tile whose `next_event` answer
+    /// lies in the future is inert on its own — even if some *other*
+    /// component forces this probe to answer "due" — so it is handed to
+    /// the domain scheduler with that answer as its cached wake time.
+    /// Parked tiles fold their cached answer here instead of
+    /// recomputing (the memoization), and a parked tile whose cached
+    /// wake has arrived reads as due: the step loop's due-scan wakes it.
     fn horizon(&mut self) -> Option<Cycle> {
         use pabst_simkit::horizon::Horizon;
         let now = self.now;
@@ -455,23 +459,10 @@ impl System {
         }
         for (k, mc) in self.mcs.iter().enumerate() {
             // A stalled controller (mc-stall fault window) is frozen until
-            // the next boundary: no events, no occupancy samples — and it
-            // is never parked (parking accrues samples; a stalled window
-            // takes none).
-            if self.mc_stalled[k] {
-                continue;
-            }
-            if self.sched.mc_parked(k) {
-                if h.merge_due(self.sched.mc_wake(k), now) {
-                    return Some(now);
-                }
-                continue;
-            }
-            let ev = mc.next_event(now);
-            if h.merge_due(ev, now) {
+            // the next boundary: no events, no occupancy samples.
+            if !self.mc_stalled[k] && h.merge_due(mc.next_event(now), now) {
                 return Some(now);
             }
-            self.sched.park_mc(k, now, ev);
         }
         for (i, tile) in self.tiles.iter().enumerate() {
             if self.sched.tile_parked(i) {
@@ -489,19 +480,22 @@ impl System {
         h.get()
     }
 
-    /// Fast-forwards `cycles` provably-dead cycles in one jump. Under
-    /// the partitioned scheduler this is a pure clock bump: a jump only
-    /// happens when the probe found no due domain, which means it parked
-    /// every tile and every live controller — their owed-bookkeeping
-    /// windows simply grow with the clock and are batch-accrued at their
-    /// next wake edge, exactly as naive stepping would have charged them
-    /// cycle by cycle.
+    /// Fast-forwards `cycles` provably-dead cycles in one jump. A jump
+    /// only happens when the probe found nothing due, which means it
+    /// parked every tile: their owed-bookkeeping windows simply grow with
+    /// the clock and are batch-accrued at their next wake edge. Each
+    /// controller not frozen by an mc-stall window is charged here the
+    /// occupancy samples its `cycles` naive steps would have taken (its
+    /// read queue cannot change while nothing is due).
     fn apply_skip(&mut self, cycles: Cycle) {
         debug_assert!(cycles > 0, "a zero-length skip is a stepping bug");
-        debug_assert!(
-            self.sched.fully_parked(&self.mc_stalled),
-            "a global jump requires every live domain parked"
-        );
+        debug_assert!(self.sched.fully_parked(), "a global jump requires every tile parked");
+        for (mc, &stalled) in self.mcs.iter_mut().zip(&self.mc_stalled) {
+            if !stalled {
+                mc.accrue_skip(cycles);
+                self.metrics.mc_cycles_skipped += cycles;
+            }
+        }
         self.now += cycles;
         self.metrics.cycles_skipped += cycles;
     }
@@ -509,16 +503,12 @@ impl System {
     /// One cycle of the whole machine.
     fn step(&mut self) {
         let now = self.now;
-        let skip_enabled = self.skip_enabled;
 
-        // 0. Due wakes: any parked domain whose cached horizon has
-        //    arrived rejoins live stepping *this* cycle, owed bookkeeping
-        //    accrued — the local clock clamps back to `now` before any
-        //    stage could observe stale state.
-        if skip_enabled {
-            self.sched.wake_due_mcs(now, &mut self.mcs);
-            self.sched.wake_due_tiles(now, &mut self.tiles);
-        }
+        // 0. Due wakes: any parked tile whose cached horizon has arrived
+        //    rejoins live stepping *this* cycle, owed bookkeeping accrued
+        //    — the local clock clamps back to `now` before any stage could
+        //    observe stale state.
+        self.sched.wake_due_tiles(now, &mut self.tiles);
 
         // 1. Memory controllers: advance DRAM, collect completions into
         //    the recycled scratch buffer (no per-cycle allocation).
@@ -529,22 +519,7 @@ impl System {
             // still accepts ingress, but services nothing. The arbiter's
             // virtual clocks only advance on picks, so they stay monotone
             // and the other controllers keep running.
-            if self.mc_stalled[k] {
-                continue;
-            }
-            if skip_enabled {
-                if self.sched.mc_parked(k) {
-                    continue;
-                }
-                mc.step_into(now, &mut completions);
-                // An empty controller's step is just an occupancy sample;
-                // park it (this cycle's sample was taken live, so owed
-                // starts next cycle). Only an ingress push — the drain
-                // wake below — or an epoch boundary can make it act.
-                if mc.pending() == 0 {
-                    self.sched.park_mc(k, now + 1, None);
-                }
-            } else {
+            if !self.mc_stalled[k] {
                 mc.step_into(now, &mut completions);
             }
         }
@@ -557,19 +532,6 @@ impl System {
         //    class queues (per-source-fair network arbitration) under the
         //    per-link bandwidth budget. Lives in the interconnect now; see
         //    `Interconnect::drain_into`.
-        //
-        //    Push wake: a parked controller about to receive an admissible
-        //    staged request is woken first, owed samples accrued through
-        //    this cycle inclusive — its naive step this cycle would have
-        //    been exactly one pre-push occupancy sample, which the accrual
-        //    reproduces (read queues are frozen while parked).
-        if skip_enabled {
-            for k in 0..self.mcs.len() {
-                if self.sched.mc_parked(k) && self.net.mc_admissible(k, now) {
-                    self.sched.wake_mc(k, now + 1, &mut self.mcs[k]);
-                }
-            }
-        }
         self.net.drain_into(now, &mut self.mcs);
 
         // 3. Shared L3: consume the network head (head-of-line blocking
@@ -588,7 +550,7 @@ impl System {
 
         // 5. Tiles: inject paced L2 misses + L2 writebacks, then step cores.
         self.tile_injection(now);
-        if !skip_enabled {
+        if !self.skip_enabled {
             // The naive A/B baseline: a pure per-cycle interpreter.
             for (i, tile) in self.tiles.iter_mut().enumerate() {
                 tile.step_core(now);
@@ -755,9 +717,7 @@ impl System {
         // Response wake: a parked tile rejoins live stepping before the
         // fill is applied, so its owed accrual closes on pre-fill state
         // and it participates in this cycle's injection + core step.
-        if self.skip_enabled {
-            self.sched.wake_tile(resp.tile, now, &mut self.tiles[resp.tile]);
-        }
+        self.sched.wake_tile(resp.tile, now, &mut self.tiles[resp.tile]);
         let tile = &mut self.tiles[resp.tile];
         let waiters = tile.mem.on_fill(resp.line);
         for w in waiters {
@@ -830,12 +790,10 @@ impl System {
         let now = self.now;
         // Boundary wake: the heartbeat reads and reprograms every
         // component (SAT aggregation, pacer periods, fault windows,
-        // invariant checks), so every parked domain is woken first — owed
+        // invariant checks), so every parked tile is woken first — owed
         // bookkeeping accrued through the epoch's last cycle, exactly as
         // naive stepping would have left it at this boundary.
-        if self.skip_enabled && self.sched.any_parked() {
-            self.sched.wake_all(now, &mut self.tiles, &mut self.mcs);
-        }
+        self.sched.wake_all(now, &mut self.tiles);
         let epoch = self.epochs_run as u64;
         let sats: Vec<bool> = self.mcs.iter_mut().map(|m| m.take_epoch_sat()).collect();
         // What each governor actually observes: the raw SAT broadcast,
@@ -1286,7 +1244,7 @@ impl SystemBuilder {
             shares,
             now: 0,
             skip_enabled,
-            sched: DomainSched::new(cores, self.cfg.mcs),
+            sched: DomainSched::new(cores),
             probe_at: 0,
             probe_backoff: 1,
             probe_cap: self.probe_cap.unwrap_or(System::DEFAULT_PROBE_BACKOFF_CAP),
@@ -1492,7 +1450,7 @@ mod tests {
 
     use pabst_simkit::fault::FaultSpec;
     use pabst_simkit::invariant::{InvariantConfig, InvariantLaw, ViolationPolicy};
-    use pabst_workloads::{Region, StreamGen};
+    use pabst_workloads::{ChaserGen, Region, StreamGen};
 
     /// Memory-bound read streamers over a region far larger than the L3,
     /// so every epoch generates misses for as long as the run lasts.
@@ -1500,6 +1458,16 @@ mod tests {
         (0..n)
             .map(|i| {
                 Box::new(StreamGen::reads(Region::new(0, 1 << 16), i as u64)) as Box<dyn Workload>
+            })
+            .collect()
+    }
+
+    /// Single-chain pointer chasers: each core waits out every miss, so
+    /// the whole machine goes quiet between them.
+    fn chaser_boxes(n: usize) -> Vec<Box<dyn Workload>> {
+        (0..n)
+            .map(|i| {
+                Box::new(ChaserGen::new(Region::new(0, 1 << 16), 4, i as u64)) as Box<dyn Workload>
             })
             .collect()
     }
@@ -1768,6 +1736,42 @@ mod tests {
         assert_eq!(ret_skip, ret_naive);
         assert_eq!(skipped_naive, 0, "naive mode must never skip");
         assert!(skipped > 0, "saturating streams must leave skippable gaps, got 0");
+    }
+
+    #[test]
+    fn global_jumps_accrue_every_live_controller() {
+        // Controllers never park, so the only controller-cycles not
+        // stepped are the ones a global jump accrues: one per jumped
+        // cycle per controller, except a controller frozen by an
+        // mc-stall window, which takes no samples at all.
+        let run = |plan: Option<FaultPlan>| {
+            let mut b = SystemBuilder::new(SystemConfig::small_test(), RegulationMode::Pabst)
+                .class(1, chaser_boxes(2));
+            if let Some(p) = plan {
+                b = b.fault_plan(p);
+            }
+            let mut sys = b.build().unwrap();
+            sys.run_epochs(6);
+            (sys.cycles_skipped(), sys.mc_cycles_skipped(), sys.mc_count() as u64)
+        };
+        let (jumped, mc_jumped, mcs) = run(None);
+        assert!(jumped > 0, "chasers must leave the machine quiet between misses");
+        assert_eq!(mc_jumped, jumped * mcs);
+        let mut plan = FaultPlan::new();
+        plan.push(FaultSpec {
+            kind: FaultKind::McStall,
+            target: 0,
+            from_epoch: 1,
+            until_epoch: 2,
+            prob_ppm: pabst_simkit::fault::PPM_SCALE,
+            magnitude: 0,
+            seed: 0,
+        });
+        let (jumped, mc_jumped, mcs) = run(Some(plan));
+        assert!(
+            mc_jumped < jumped * mcs,
+            "a stalled controller accrues nothing: {mc_jumped} vs {jumped}"
+        );
     }
 
     #[test]

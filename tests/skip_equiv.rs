@@ -9,7 +9,9 @@
 //! diverge: every regulation mode (pacer reprogramming on and off),
 //! pointer-chasing memory stalls (the deepest quiescent windows), write
 //! drains, MSHR-full refusals of store-heavy traffic, misses waiting on
-//! an exhausted L3 MSHR table, skewed-controller traffic, per-MC
+//! an exhausted L3 MSHR table, saturated controllers whose one-entry
+//! ingress refuses the drain nearly every cycle (the reject count must
+//! match too), skewed-controller traffic, per-MC
 //! regulation, L3-way overrides, an armed liveness window, the
 //! distance-modelled mesh network at
 //! 64 and 256 tiles (staged link arbitration), idle-heavy mesh mixes
@@ -17,9 +19,9 @@
 //! skip under the DPQ arbiter (some tiles parked while others keep the
 //! controllers live), and each fault kind — including the
 //! required mc-stall window (a frozen controller must contribute no
-//! horizon events and take no occupancy samples, and must never be
-//! parked) and epoch-skew cell (stale pacer periods must throttle
-//! identically across a skip).
+//! horizon events and take no occupancy samples, not even the ones a
+//! global jump accrues) and epoch-skew cell (stale pacer periods must
+//! throttle identically across a skip).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -50,6 +52,17 @@ fn region() -> Region {
 
 fn streams(n: usize, salt: u64) -> Vec<Box<dyn Workload>> {
     (0..n).map(|i| Box::new(StreamGen::reads(region(), salt + i as u64)) as _).collect()
+}
+
+/// Read streamers over disjoint regions, so they share no lines and
+/// every miss goes to memory.
+fn private_streams(n: usize, salt: u64) -> Vec<Box<dyn Workload>> {
+    (0..n)
+        .map(|i| {
+            let seed = salt + i as u64;
+            Box::new(StreamGen::reads(Region::new(seed << 32, 1 << 16), seed)) as _
+        })
+        .collect()
 }
 
 fn write_streams(n: usize, salt: u64) -> Vec<Box<dyn Workload>> {
@@ -244,6 +257,23 @@ fn cells() -> Vec<Cell> {
                 SystemBuilder::new(c, RegulationMode::Pabst)
                     .class(3, streams(2, 35))
                     .class(1, streams(2, 135))
+            }),
+        ),
+        cell(
+            "saturated-mc/ingress-1",
+            Box::new(move || {
+                // One-entry controller ingress under 32 streamers over
+                // disjoint regions: a busy controller refuses the drain
+                // nearly every cycle (about two rejects per cycle across
+                // the machine), so its staging queue backs up and the
+                // reject counter climbs next to controllers the streams
+                // leave idle.
+                let mut c = SystemConfig::baseline_32core();
+                c.dram.ingress_cap = 1;
+                c.epoch_cycles = 2_000;
+                SystemBuilder::new(c, RegulationMode::Pabst)
+                    .class(3, private_streams(16, 36))
+                    .class(1, private_streams(16, 136))
             }),
         ),
         cell(
@@ -451,9 +481,13 @@ fn cells() -> Vec<Cell> {
     ]
 }
 
+/// One arm's observables: report JSON, trace JSONL, final cycle, cycles
+/// skipped and controller ingress rejects.
+type Arm = (String, String, u64, u64, u64);
+
 /// Runs one arm of a cell: warmup, measurement window, then every
-/// observable artifact plus the skip counter.
-fn run_arm(mk: &dyn Fn() -> SystemBuilder, skip: bool) -> (String, String, u64, u64) {
+/// observable artifact plus the skip and reject counters.
+fn run_arm(mk: &dyn Fn() -> SystemBuilder, skip: bool) -> Arm {
     let mut sys = mk().skip(skip).build().expect("matrix cell must build");
     let trace = Jsonl::default();
     sys.add_trace_sink(Box::new(trace.clone()));
@@ -462,7 +496,7 @@ fn run_arm(mk: &dyn Fn() -> SystemBuilder, skip: bool) -> (String, String, u64, 
     sys.run_epochs(4);
     let report = SystemReport::collect(&sys).to_json();
     let jsonl = trace.0.borrow().clone();
-    (report, jsonl, sys.now(), sys.cycles_skipped())
+    (report, jsonl, sys.now(), sys.cycles_skipped(), sys.ingress_rejects())
 }
 
 #[test]
@@ -470,11 +504,12 @@ fn every_matrix_cell_is_byte_identical_across_skip_modes() {
     let mut total_skipped = 0u64;
     let mut total_cycles = 0u64;
     for (name, mk) in cells() {
-        let (rep_s, trc_s, now_s, skipped) = run_arm(mk.as_ref(), true);
-        let (rep_n, trc_n, now_n, skipped_naive) = run_arm(mk.as_ref(), false);
+        let (rep_s, trc_s, now_s, skipped, rejects_s) = run_arm(mk.as_ref(), true);
+        let (rep_n, trc_n, now_n, skipped_naive, rejects_n) = run_arm(mk.as_ref(), false);
         assert_eq!(rep_s, rep_n, "{name}: report JSON diverged");
         assert_eq!(trc_s, trc_n, "{name}: trace JSONL diverged");
         assert_eq!(now_s, now_n, "{name}: final cycle diverged");
+        assert_eq!(rejects_s, rejects_n, "{name}: ingress rejects diverged");
         assert_eq!(skipped_naive, 0, "{name}: naive arm must not skip");
         assert!(!trc_s.is_empty(), "{name}: trace must not be empty");
         total_skipped += skipped;
@@ -494,7 +529,7 @@ fn pointer_chasing_skips_most_of_its_cycles() {
         SystemBuilder::new(SystemConfig::small_test(), RegulationMode::Pabst)
             .class(1, chasers(2, 21))
     };
-    let (_, _, now, skipped) = run_arm(&mk, true);
+    let (_, _, now, skipped, _) = run_arm(&mk, true);
     assert!(
         skipped > now / 4,
         "chaser workloads must fast-forward a large fraction: {skipped} of {now}"
@@ -508,7 +543,7 @@ fn trace_lines_from_a_skipping_run_parse_cleanly() {
             .class(3, streams(2, 22))
             .class(1, chasers(1, 122))
     };
-    let (report, trace, _, _) = run_arm(&mk, true);
+    let (report, trace, _, _, _) = run_arm(&mk, true);
     for line in trace.lines() {
         let _ = pabst_simkit::trace::parse_line(line).expect("valid epoch record");
     }
