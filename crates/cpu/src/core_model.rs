@@ -41,6 +41,12 @@ pub trait MemPort {
     /// A monotone count of resources the port has freed. A refused
     /// ([`Access::Stall`]) access is retried on the first core step that
     /// sees this count differ from its value at the refusal.
+    ///
+    /// The core reads it at the top of each issue stage, so any port
+    /// may rely on it for retries. A caller that also passes it to
+    /// [`OooCore::next_event_seeing`] relies on more: it may stop
+    /// stepping a core while the count stands still, so it must make
+    /// every move of the count a wake edge for that core.
     fn releases(&self) -> u64;
 }
 
@@ -251,10 +257,30 @@ impl OooCore {
     /// * issue acts when any attention-list entry could issue or resolve
     ///   a dependence now, with timed wakes for producers whose data
     ///   arrival is already scheduled. Blocked entries count as if they
-    ///   were still retried every cycle: the core cannot see a release
-    ///   until it steps, so it must keep stepping while one could be
-    ///   offered to the port.
+    ///   were still retried every cycle: this caller cannot show the core
+    ///   the port's release count, so it must keep stepping while one
+    ///   could be offered to the port.
+    ///
+    /// A caller that can see the port uses [`OooCore::next_event_seeing`]
+    /// instead, which lets a core whose only pending work is refused
+    /// accesses wait out the release.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        self.next_event_walk(now, None)
+    }
+
+    /// [`OooCore::next_event`] for a caller that sees the port's
+    /// [`MemPort::releases`] count, `releases`. A blocked entry is offered
+    /// again only on a step that sees the count move, so while it has not
+    /// moved the blocked entries are inert and the answer comes from the
+    /// rest of the ROB. The caller must then treat a release as a wake
+    /// edge: step the core (or ask again) once the count moves.
+    pub fn next_event_seeing(&self, now: Cycle, releases: u64) -> Option<Cycle> {
+        self.next_event_walk(now, Some(releases))
+    }
+
+    /// The horizon walk behind both `next_event` forms; `releases` is the
+    /// port's release count, `None` when the caller cannot see it.
+    fn next_event_walk(&self, now: Cycle, releases: Option<u64>) -> Option<Cycle> {
         use pabst_simkit::horizon::Horizon;
 
         // Undrained markers: the SoC reads them every stepped cycle, so
@@ -289,9 +315,11 @@ impl OooCore {
             Some(Entry::Load { .. }) => {}
         }
         // Blocked entries: a store could be offered whenever the port
-        // frees an MSHR, a (Ready) load only below the MLP bound.
+        // frees an MSHR, a (Ready) load only below the MLP bound — and
+        // either only once the release count has moved.
         let below_mlp = self.outstanding < self.cfg.max_outstanding;
-        if !self.blocked.is_empty() && (below_mlp || self.blocked_stores > 0) {
+        let released = releases.is_none_or(|r| r != self.seen_releases);
+        if released && !self.blocked.is_empty() && (below_mlp || self.blocked_stores > 0) {
             return Some(now);
         }
         // Issue: mirror the issue stage's own early-exit — when loads
@@ -1060,6 +1088,85 @@ mod tests {
         core.step(10, &mut wl, &mut mem);
         assert_eq!(mem.offered_at(10), vec![(60, true), (70, false)]);
         assert_eq!(core.stats().stores, 1);
+    }
+
+    /// Steps `core` through `0..cycles`, then returns its horizon as seen
+    /// without the port, with the port's count, and with a moved count.
+    fn horizons(
+        core: &mut OooCore,
+        wl: &mut Script,
+        mem: &mut Mshrs,
+        cycles: Cycle,
+    ) -> [Option<Cycle>; 3] {
+        for now in 0..cycles {
+            core.step(now, wl, mem);
+        }
+        let now = cycles;
+        [
+            core.next_event(now),
+            core.next_event_seeing(now, mem.releases),
+            core.next_event_seeing(now, mem.releases + 1),
+        ]
+    }
+
+    #[test]
+    fn a_blocked_store_waits_for_a_release_only_when_the_port_is_seen() {
+        // One MSHR, held by line 99; a 4-entry ROB of refused stores and
+        // a fifth that does not fit: the blocked stores are the only work.
+        let mut core = OooCore::new(CoreConfig { rob: 4, ..CoreConfig::default() });
+        let mut mem = Mshrs::new(1, &[], &[99]);
+        let mut wl = Script::new((10..20).map(store).collect());
+        let [portless, unchanged, moved] = horizons(&mut core, &mut wl, &mut mem, 4);
+        assert_eq!(core.blocked_stores, 4);
+        assert_eq!(portless, Some(4), "without the port a blocked store keeps the core stepping");
+        assert_eq!(unchanged, None, "no release, no offer: the core is inert");
+        assert_eq!(moved, Some(4), "a release makes the stores offerable");
+        // The inert window is exact: stepping it changes nothing but the
+        // ROB-full count that `accrue_skip` charges.
+        let (before, offered) = (core.stats(), mem.offered.len());
+        for now in 4..20 {
+            core.step(now, &mut wl, &mut mem);
+        }
+        assert_eq!(mem.offered.len(), offered, "nothing is offered without a release");
+        let after = core.stats();
+        assert_eq!(after.rob_full_cycles - before.rob_full_cycles, 16);
+        assert_eq!(CoreStats { rob_full_cycles: before.rob_full_cycles, ..after }, before);
+    }
+
+    #[test]
+    fn a_blocked_load_below_the_mlp_bound_waits_for_a_release() {
+        // As above with independent loads: no load is outstanding, so each
+        // refused one could issue as soon as an MSHR frees.
+        let mut core = OooCore::new(CoreConfig { rob: 4, ..CoreConfig::default() });
+        let mut mem = Mshrs::new(1, &[], &[99]);
+        let mut wl = Script::new((10..20).map(|l| load(l, l, None)).collect());
+        let [portless, unchanged, moved] = horizons(&mut core, &mut wl, &mut mem, 4);
+        assert_eq!((core.blocked.len(), core.outstanding()), (4, 0));
+        assert_eq!(portless, Some(4), "without the port a blocked load keeps the core stepping");
+        assert_eq!(unchanged, None);
+        assert_eq!(moved, Some(4));
+    }
+
+    #[test]
+    fn a_blocked_load_at_the_mlp_bound_is_inert_until_a_slot_frees() {
+        // Two load slots, one MSHR. Load 1 misses and takes the MSHR, load
+        // 2 is refused, load 3 merges into load 1's entry and takes the
+        // second slot: load 2 is blocked at the MLP bound, where no release
+        // can make it offerable — with or without the port, as before.
+        let cfg = CoreConfig { rob: 3, max_outstanding: 2, ..CoreConfig::default() };
+        let mut core = OooCore::new(cfg);
+        let mut mem = Mshrs::new(1, &[], &[]);
+        let mut wl = Script::new(vec![load(50, 1, None), load(60, 2, None), load(50, 3, None)]);
+        let [portless, unchanged, moved] = horizons(&mut core, &mut wl, &mut mem, 3);
+        assert_eq!((core.blocked.len(), core.outstanding()), (1, 2));
+        assert_eq!([portless, unchanged, moved], [None, None, None]);
+        // Load 3's data frees a slot but not the head: below the bound the
+        // blocked load waits on the release count like any other.
+        core.on_fill(3, LoadId(3));
+        core.release_slot();
+        assert_eq!(core.next_event(3), Some(3));
+        assert_eq!(core.next_event_seeing(3, mem.releases), None);
+        assert_eq!(core.next_event_seeing(3, mem.releases + 1), Some(3));
     }
 
     #[test]

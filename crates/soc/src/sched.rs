@@ -30,6 +30,13 @@
 //! * **response delivery** — a network response reaches a parked tile
 //!   (woken *before* the fill is applied, so the accrual window closes
 //!   on pre-fill state);
+//! * **MSHR release** — a fill frees an L2 MSHR and moves the port's
+//!   release count (`MemPort::releases`), which is what a core parked
+//!   on refused accesses waits for (`Tile::core_next_event`). Only
+//!   `TileMem::on_fill` moves that count, and only
+//!   `System::on_tile_response` calls it, after the response-delivery
+//!   wake above: so this edge is a case of that one and needs no wake
+//!   of its own (`on_tile_response` asserts the tile is resident);
 //! * **epoch boundary** — the heartbeat reads every component
 //!   (pacer reprogramming, invariant checks), so everything is woken
 //!   first;

@@ -567,8 +567,9 @@ impl System {
                 // Per-tile quiescence: a core that provably cannot retire,
                 // issue, or dispatch this cycle would only bump its
                 // ROB-full stall counter — accrue that directly and skip
-                // the pipeline walk.
-                let core_h = tile.core.next_event(now);
+                // the pipeline walk. Refused accesses count as inert until
+                // the port releases an MSHR, which only stage 4's fills do.
+                let core_h = tile.core_next_event(now);
                 if core_h.is_none_or(|at| at > now) {
                     tile.core.accrue_skip(1);
                     // Tile-local park: when the injection path is also
@@ -718,6 +719,9 @@ impl System {
         // fill is applied, so its owed accrual closes on pre-fill state
         // and it participates in this cycle's injection + core step.
         self.sched.wake_tile(resp.tile, now, &mut self.tiles[resp.tile]);
+        // The fill may move the port's release count, which a parked
+        // core's horizon assumed still: the release wake rides this one.
+        debug_assert!(!self.sched.tile_parked(resp.tile), "release on a parked tile");
         let tile = &mut self.tiles[resp.tile];
         let waiters = tile.mem.on_fill(resp.line);
         for w in waiters {
@@ -1771,6 +1775,40 @@ mod tests {
         assert!(
             mc_jumped < jumped * mcs,
             "a stalled controller accrues nothing: {mc_jumped} vs {jumped}"
+        );
+    }
+
+    #[test]
+    fn tiles_blocked_on_full_mshrs_park() {
+        // Write streamers run their L2 MSHRs full and spend most cycles
+        // with every store refused. Waiting for the MSHR release parks
+        // them: tile-cycles are stepped only around fills. A work count,
+        // not a timing: pinning blocked tiles live again reads ~0.5.
+        let streams = |store: bool, class: u64| -> Vec<Box<dyn Workload>> {
+            (0..16u64)
+                .map(|i| {
+                    let region = Region::new((class << 40) + (i << 32), 1 << 20);
+                    let seed = class * 64 + i;
+                    let g = if store {
+                        StreamGen::writes(region, seed)
+                    } else {
+                        StreamGen::reads(region, seed)
+                    };
+                    Box::new(g) as Box<dyn Workload>
+                })
+                .collect()
+        };
+        let mut sys = SystemBuilder::new(SystemConfig::baseline_32core(), RegulationMode::Pabst)
+            .class(3, streams(true, 0))
+            .class(1, streams(false, 1))
+            .build()
+            .unwrap();
+        sys.run_epochs(1);
+        let tile_cycles = sys.now() * sys.tiles().len() as u64;
+        let parked = sys.tile_cycles_skipped();
+        assert!(
+            parked * 10 >= tile_cycles * 9,
+            "blocked tiles must park: {parked} of {tile_cycles} tile-cycles"
         );
     }
 

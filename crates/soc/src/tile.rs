@@ -128,6 +128,10 @@ impl TileMem {
     /// releases the MSHR, and returns the waiters plus any dirty L2 victim
     /// that must be written back to the L3. The returned slice borrows an
     /// internal buffer that the next `on_fill` call reuses.
+    ///
+    /// This is the only call that moves [`MemPort::releases`], which
+    /// [`Tile::core_next_event`] treats as a wake edge: the caller must
+    /// make sure the tile is stepped (not parked) after it.
     pub fn on_fill(&mut self, line: LineAddr) -> &[L2Waiter] {
         let mut waiters = std::mem::take(&mut self.fill_scratch);
         waiters.clear();
@@ -326,14 +330,24 @@ impl Tile {
 
     /// The earliest cycle this tile can change state on its own: the min
     /// of the injection-queue horizon ([`TileMem::next_inject_at`]) and
-    /// the core's self-scheduled horizon. [`crate::system::System`]'s
-    /// quiescence skipping min-combines this across tiles; a too-early
-    /// answer costs speed only, never correctness.
+    /// the core's self-scheduled horizon ([`Tile::core_next_event`]).
+    /// [`crate::system::System`]'s quiescence skipping min-combines this
+    /// across tiles; a too-early answer costs speed only, never
+    /// correctness.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let mut h = pabst_simkit::horizon::Horizon::new();
         h.merge(self.mem.next_inject_at(now));
-        h.merge(self.core.next_event(now));
+        h.merge(self.core_next_event(now));
         h.get()
+    }
+
+    /// The core's horizon as seen through this tile's port: refused
+    /// accesses stay inert until the port's release count moves. Only
+    /// [`TileMem::on_fill`] moves it, and the system runs that only on
+    /// the response-delivery wake edge, so a tile parked on this answer
+    /// is woken in time to see every release.
+    pub fn core_next_event(&self, now: Cycle) -> Option<Cycle> {
+        self.core.next_event_seeing(now, self.mem.releases())
     }
 }
 

@@ -8,20 +8,20 @@
 //! The matrix deliberately covers the paths where a wrong horizon would
 //! diverge: every regulation mode (pacer reprogramming on and off),
 //! pointer-chasing memory stalls (the deepest quiescent windows), write
-//! drains, MSHR-full refusals of store-heavy traffic, misses waiting on
-//! an exhausted L3 MSHR table, saturated controllers whose one-entry
-//! ingress refuses the drain nearly every cycle (the reject count must
-//! match too), skewed-controller traffic, per-MC
-//! regulation, L3-way overrides, an armed liveness window, the
-//! distance-modelled mesh network at
-//! 64 and 256 tiles (staged link arbitration), idle-heavy mesh mixes
-//! where tile-local parking (not the global jump) does the work, partial
-//! skip under the DPQ arbiter (some tiles parked while others keep the
-//! controllers live), and each fault kind — including the
-//! required mc-stall window (a frozen controller must contribute no
-//! horizon events and take no occupancy samples, not even the ones a
-//! global jump accrues) and epoch-skew cell (stale pacer periods must
-//! throttle identically across a skip).
+//! drains, MSHR-full refusals of store-heavy traffic and of read streams
+//! below the core's MLP bound (tiles blocked on a release must park
+//! there), misses waiting on an exhausted L3 MSHR table, saturated
+//! controllers whose one-entry ingress refuses the drain nearly every
+//! cycle (the reject count must match too), skewed-controller traffic,
+//! per-MC regulation, L3-way overrides, an armed liveness window, the
+//! distance-modelled mesh network at 64 and 256 tiles (staged link
+//! arbitration), idle-heavy mesh mixes where tile-local parking (not the
+//! global jump) does the work, partial skip under the DPQ arbiter (some
+//! tiles parked while others keep the controllers live), and each fault
+//! kind — including the required mc-stall window (a frozen controller
+//! must contribute no horizon events and take no occupancy samples, not
+//! even the ones a global jump accrues) and epoch-skew cell (stale pacer
+//! periods must throttle identically across a skip).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -212,6 +212,19 @@ fn cells() -> Vec<Cell> {
                 SystemBuilder::new(c, RegulationMode::Pabst)
                     .class(3, write_streams(2, 34))
                     .class(1, streams(2, 134))
+            }),
+        ),
+        cell(
+            "blocked-loads/read-streams-4-mshrs",
+            Box::new(move || {
+                // Four L2 MSHRs under the core's sixteen load slots: read
+                // streams are refused below the MLP bound, so blocked loads
+                // (not only stores) wait for a release in the skip arm.
+                let mut c = small();
+                c.l2_mshrs = 4;
+                SystemBuilder::new(c, RegulationMode::Pabst)
+                    .class(3, private_streams(2, 35))
+                    .class(1, streams(2, 135))
             }),
         ),
         cell(
@@ -481,9 +494,19 @@ fn cells() -> Vec<Cell> {
     ]
 }
 
-/// One arm's observables: report JSON, trace JSONL, final cycle, cycles
-/// skipped and controller ingress rejects.
-type Arm = (String, String, u64, u64, u64);
+/// One arm's observables: the artifacts and counters the two arms must
+/// agree on, plus the skip counters.
+struct Arm {
+    report: String,
+    trace: String,
+    now: u64,
+    rejects: u64,
+    /// Cycles elided by global jumps.
+    skipped: u64,
+    /// Tile-cycles elided by tile-local parking (global jumps included).
+    tiles_parked: u64,
+    tiles: u64,
+}
 
 /// Runs one arm of a cell: warmup, measurement window, then every
 /// observable artifact plus the skip and reject counters.
@@ -495,25 +518,47 @@ fn run_arm(mk: &dyn Fn() -> SystemBuilder, skip: bool) -> Arm {
     sys.mark_measurement();
     sys.run_epochs(4);
     let report = SystemReport::collect(&sys).to_json();
-    let jsonl = trace.0.borrow().clone();
-    (report, jsonl, sys.now(), sys.cycles_skipped(), sys.ingress_rejects())
+    let trace = trace.0.borrow().clone();
+    Arm {
+        report,
+        trace,
+        now: sys.now(),
+        rejects: sys.ingress_rejects(),
+        skipped: sys.cycles_skipped(),
+        tiles_parked: sys.tile_cycles_skipped(),
+        tiles: sys.tiles().len() as u64,
+    }
 }
+
+/// Cells whose tiles spend most cycles with every access refused: the
+/// skip arm must park them for most of the run, or the cell compares two
+/// near-naive runs.
+const BLOCKED_PARK_CELLS: [&str; 2] =
+    ["per-mc-regulation/write-streams-2-mshrs", "blocked-loads/read-streams-4-mshrs"];
 
 #[test]
 fn every_matrix_cell_is_byte_identical_across_skip_modes() {
     let mut total_skipped = 0u64;
     let mut total_cycles = 0u64;
     for (name, mk) in cells() {
-        let (rep_s, trc_s, now_s, skipped, rejects_s) = run_arm(mk.as_ref(), true);
-        let (rep_n, trc_n, now_n, skipped_naive, rejects_n) = run_arm(mk.as_ref(), false);
-        assert_eq!(rep_s, rep_n, "{name}: report JSON diverged");
-        assert_eq!(trc_s, trc_n, "{name}: trace JSONL diverged");
-        assert_eq!(now_s, now_n, "{name}: final cycle diverged");
-        assert_eq!(rejects_s, rejects_n, "{name}: ingress rejects diverged");
-        assert_eq!(skipped_naive, 0, "{name}: naive arm must not skip");
-        assert!(!trc_s.is_empty(), "{name}: trace must not be empty");
-        total_skipped += skipped;
-        total_cycles += now_s;
+        let s = run_arm(mk.as_ref(), true);
+        let n = run_arm(mk.as_ref(), false);
+        assert_eq!(s.report, n.report, "{name}: report JSON diverged");
+        assert_eq!(s.trace, n.trace, "{name}: trace JSONL diverged");
+        assert_eq!(s.now, n.now, "{name}: final cycle diverged");
+        assert_eq!(s.rejects, n.rejects, "{name}: ingress rejects diverged");
+        assert_eq!((n.skipped, n.tiles_parked), (0, 0), "{name}: naive arm must not skip");
+        assert!(!s.trace.is_empty(), "{name}: trace must not be empty");
+        if BLOCKED_PARK_CELLS.contains(&name) {
+            let tile_cycles = s.now * s.tiles;
+            assert!(
+                s.tiles_parked * 2 > tile_cycles,
+                "{name}: blocked tiles must park: {} of {tile_cycles} tile-cycles",
+                s.tiles_parked
+            );
+        }
+        total_skipped += s.skipped;
+        total_cycles += s.now;
     }
     assert!(
         total_skipped > total_cycles / 20,
@@ -529,7 +574,7 @@ fn pointer_chasing_skips_most_of_its_cycles() {
         SystemBuilder::new(SystemConfig::small_test(), RegulationMode::Pabst)
             .class(1, chasers(2, 21))
     };
-    let (_, _, now, skipped, _) = run_arm(&mk, true);
+    let Arm { now, skipped, .. } = run_arm(&mk, true);
     assert!(
         skipped > now / 4,
         "chaser workloads must fast-forward a large fraction: {skipped} of {now}"
@@ -543,7 +588,7 @@ fn trace_lines_from_a_skipping_run_parse_cleanly() {
             .class(3, streams(2, 22))
             .class(1, chasers(1, 122))
     };
-    let (report, trace, _, _, _) = run_arm(&mk, true);
+    let Arm { report, trace, .. } = run_arm(&mk, true);
     for line in trace.lines() {
         let _ = pabst_simkit::trace::parse_line(line).expect("valid epoch record");
     }
