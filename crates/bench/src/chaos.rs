@@ -334,8 +334,14 @@ pub fn cell_descriptor(index: usize) -> ChaosCell {
 /// further than this function: the run happens under `catch_unwind`, so
 /// a panicking mechanism becomes an [`Outcome::Panic`] row in the
 /// campaign table instead of a lost cell. Returns the finished system
-/// (for report collection) unless the run panicked.
-pub fn run_cell(cell: &ChaosCell, epochs: usize, seed: u64) -> (CellOutcome, Option<System>) {
+/// (for report collection) unless the run panicked. `skip` turns cycle
+/// skipping on or off; the outcome is the same either way.
+pub fn run_cell(
+    cell: &ChaosCell,
+    epochs: usize,
+    seed: u64,
+    skip: bool,
+) -> (CellOutcome, Option<System>) {
     let plan = cell.plan.clone();
     let governor = cell.governor;
     let arbiter = cell.arbiter;
@@ -352,6 +358,7 @@ pub fn run_cell(cell: &ChaosCell, epochs: usize, seed: u64) -> (CellOutcome, Opt
             .class(3, read_streamers(0, 2, seed))
             .class(1, read_streamers(1, 2, seed))
             .fault_plan(plan)
+            .skip(skip)
             .build()
             .expect("valid chaos configuration");
         let warm = epochs / 2;
@@ -439,7 +446,7 @@ pub fn chaos_grid(quick: bool) -> Vec<Params> {
 /// Runs one campaign cell.
 pub fn chaos_run(p: &Params, mut ctx: RunCtx) -> ExperimentResult {
     let cell = cell_descriptor(p.index);
-    let (r, sys) = run_cell(&cell, p.epochs, p.seed);
+    let (r, sys) = run_cell(&cell, p.epochs, p.seed, ctx.skip());
     if let Some(sys) = sys.as_ref() {
         ctx.report(sys);
     }
@@ -558,7 +565,8 @@ fn render_shrinks(results: &[ExperimentResult]) -> String {
         let arbiter = cell.arbiter;
         let sr = shrink_plan(&cell.plan, horizon, SHRINK_ATTEMPTS, |candidate| {
             let probe = ChaosCell { governor, arbiter, plan: candidate.clone() };
-            run_cell(&probe, epochs, seed).0.outcome == want
+            // Skipping is invisible, so probes take the default.
+            run_cell(&probe, epochs, seed, true).0.outcome == want
         });
         out.push_str(&format!(
             "  c{:03} [{}] {} spec(s) -> {} spec(s), {} oracle runs{}, plan digest {:#018x}:\n",
@@ -654,7 +662,7 @@ mod tests {
     fn fixture_cell_violates_liveness_and_shrinks_to_the_single_stall() {
         let cell = cell_descriptor(FIXTURE_INDEX);
         assert_eq!(cell.plan.specs().len(), 3, "fixture ships with two decoys");
-        let (r, sys) = run_cell(&cell, 8, 0);
+        let (r, sys) = run_cell(&cell, 8, 0, true);
         assert_eq!(r.outcome, Outcome::InvariantViolation, "{r:?}");
         assert!(r.violations > 0 && r.checks > 0);
         let sys = sys.expect("fixture run completes without panicking");
@@ -667,7 +675,7 @@ mod tests {
                 arbiter: cell.arbiter,
                 plan: candidate.clone(),
             };
-            run_cell(&probe, 8, 0).0.outcome == Outcome::InvariantViolation
+            run_cell(&probe, 8, 0, true).0.outcome == Outcome::InvariantViolation
         });
         assert!(
             sr.plan.specs().len() <= 2,
@@ -683,7 +691,7 @@ mod tests {
     #[test]
     fn a_derived_cell_runs_clean_or_degraded_without_violations() {
         let cell = cell_descriptor(1);
-        let (r, sys) = run_cell(&cell, 8, 0);
+        let (r, sys) = run_cell(&cell, 8, 0, true);
         assert!(sys.is_some(), "derived cells must not panic");
         assert_eq!(r.violations, 0, "{r:?}");
         assert!(r.checks > 0, "checker must have been live");

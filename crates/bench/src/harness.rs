@@ -43,7 +43,7 @@ use std::sync::Mutex;
 
 use pabst_simkit::trace::MemSink;
 use pabst_soc::report::SystemReport;
-use pabst_soc::system::System;
+use pabst_soc::system::{System, SystemBuilder};
 
 use crate::obs::CliArgs;
 use crate::registry;
@@ -90,52 +90,60 @@ impl Params {
 
 /// Per-cell observability context handed to the cell runner.
 ///
-/// Scenario builders call [`RunCtx::attach`] on every `System` they
-/// construct and [`RunCtx::report`] after each run; the buffers are
-/// merged by the harness in submission order after the sweep.
+/// Scenario builders build every `System` through [`RunCtx::build`] and
+/// call [`RunCtx::report`] after each run; the buffers are merged by the
+/// harness in submission order after the sweep.
 #[derive(Debug)]
 pub struct RunCtx {
     experiment: &'static str,
     config: String,
     seed: u64,
     tracing: bool,
+    skip: bool,
     sink: MemSink,
     reports: Vec<String>,
 }
 
 impl RunCtx {
-    /// Creates the context for one cell. `tracing` buffers epoch records
-    /// (requested via `--trace`); reports are always collected — they
-    /// are a few lines per run.
-    pub fn new(params: &Params, tracing: bool) -> Self {
+    /// Creates the context for one cell of a sweep run with `args`:
+    /// `--trace` buffers epoch records, `--no-skip` turns cycle skipping
+    /// off in every system the cell builds. Reports are always collected
+    /// — they are a few lines per run.
+    pub fn new(params: &Params, args: &CliArgs) -> Self {
         Self {
             experiment: params.experiment,
             config: params.config.clone(),
             seed: params.seed,
-            tracing,
+            tracing: args.trace.is_some(),
+            skip: !args.no_skip,
             sink: MemSink::new(),
             reports: Vec::new(),
         }
     }
 
     /// A context outside any sweep (micro-benchmarks, tests): no tracing,
-    /// reports tagged `detached`.
+    /// skipping on, reports tagged `detached`.
     pub fn detached() -> Self {
-        Self {
-            experiment: "detached",
-            config: String::new(),
-            seed: 0,
-            tracing: false,
-            sink: MemSink::new(),
-            reports: Vec::new(),
-        }
+        Self::new(&Params::new("detached", "", 0, 0), &CliArgs::default())
     }
 
-    /// Attaches the cell's buffered trace sink to a freshly built system.
-    pub fn attach(&mut self, sys: &mut System) {
+    /// Whether the cell's systems skip quiescent cycles (off under
+    /// `--no-skip`).
+    pub fn skip(&self) -> bool {
+        self.skip
+    }
+
+    /// Builds one of the cell's systems with the sweep's skip setting
+    /// and the cell's buffered trace sink. Panics, naming the cell, on
+    /// an invalid configuration (a scenario bug).
+    pub fn build(&self, builder: SystemBuilder) -> System {
+        let mut sys = builder.skip(self.skip).build().unwrap_or_else(|e| {
+            panic!("{}/{}: scenario must build: {e}", self.experiment, self.config)
+        });
         if self.tracing {
             sys.add_trace_sink(Box::new(self.sink.clone()));
         }
+        sys
     }
 
     /// Collects the system's end-of-run report, tagged with this cell's
@@ -146,7 +154,16 @@ impl RunCtx {
 
     /// [`RunCtx::report`] with a sub-label for cells that run several
     /// systems (e.g. `fig10`'s isolated baseline plus one per mode).
+    /// Panics when `sys` was built outside [`RunCtx::build`] with another
+    /// skip setting: it would void the `--no-skip` A/B comparison.
     pub fn report_labeled(&mut self, sys: &System, label: &str) {
+        assert_eq!(
+            sys.skip_enabled(),
+            self.skip,
+            "{}/{}: system built outside RunCtx::build ignores the sweep's skip setting",
+            self.experiment,
+            self.config
+        );
         let config = if label.is_empty() {
             self.config.clone()
         } else {
@@ -340,11 +357,14 @@ impl CellFailure {
         line
     }
 
-    /// The one-command repro for this cell.
-    pub fn repro(&self, bin: &str) -> String {
+    /// The one-command repro for this cell, keeping the `--quick` and
+    /// `--no-skip` flags of the sweep (`args`) it failed in.
+    pub fn repro(&self, bin: &str, args: &CliArgs) -> String {
         format!(
-            "cargo run --release -p pabst-bench --bin {bin} -- --filter {} --jobs 1",
-            self.params.experiment
+            "cargo run --release -p pabst-bench --bin {bin} -- --filter {} --jobs 1{}{}",
+            self.params.experiment,
+            if args.quick { " --quick" } else { "" },
+            if args.no_skip { " --no-skip" } else { "" }
         )
     }
 }
@@ -395,9 +415,11 @@ pub struct SweepOutput {
     pub failures: Vec<CellFailure>,
 }
 
-/// Expands an experiment's grid, runs every cell (in parallel when
-/// `jobs > 1`) under per-cell panic isolation, and merges rendered
-/// output, trace, and reports in submission order.
+/// Expands an experiment's grid (`--quick` or full), runs every cell on
+/// [`worker_count`] workers under per-cell panic isolation, and merges
+/// rendered output, trace, and reports in submission order. `--trace`
+/// buffers epoch records (writing them is the caller's job) and
+/// `--no-skip` reaches every cell through its [`RunCtx`].
 ///
 /// A panicking cell yields a [`CellFailure`] in its submission-order
 /// slot: its failure record lands in `reports`, a deterministic `FAILED`
@@ -405,11 +427,12 @@ pub struct SweepOutput {
 /// The renderer sees only the successful cells (and is itself isolated —
 /// a renderer that cannot cope with the survivors degrades to an error
 /// line, not a dead sweep).
-pub fn run_sweep(exp: &Experiment, quick: bool, jobs: usize, tracing: bool) -> SweepOutput {
+pub fn run_sweep(exp: &Experiment, args: &CliArgs) -> SweepOutput {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    let cells = (exp.grid)(quick);
+    let cells = (exp.grid)(args.quick);
+    let jobs = worker_count(args.jobs, cells.len());
     let outcomes: Vec<Result<ExperimentResult, CellFailure>> = run_indexed(jobs, &cells, |_, p| {
-        catch_unwind(AssertUnwindSafe(|| exp.run(p, RunCtx::new(p, tracing))))
+        catch_unwind(AssertUnwindSafe(|| exp.run(p, RunCtx::new(p, args))))
             .map_err(|payload| CellFailure { params: p.clone(), panic: panic_message(payload) })
     });
     let successes: Vec<ExperimentResult> =
@@ -443,7 +466,7 @@ pub fn run_sweep(exp: &Experiment, quick: bool, jobs: usize, tracing: bool) -> S
             f.params.experiment,
             f.params.config,
             f.params.seed,
-            f.repro(exp.name)
+            f.repro(exp.name, args)
         ));
     }
     SweepOutput { rendered, trace, reports, failures }
@@ -462,11 +485,6 @@ pub fn drive(names: &[&str]) {
 /// invocation produces one coherent file per flag even across
 /// experiments.
 pub fn run_cli(names: &[&str], args: &CliArgs) {
-    if args.no_skip {
-        // The CI A/B arm: every system this invocation builds steps
-        // naively. Output must be identical.
-        pabst_soc::system::force_no_skip();
-    }
     let selected: Vec<&'static Experiment> = names
         .iter()
         .filter(|n| args.filter.as_deref().is_none_or(|f| f == **n))
@@ -496,9 +514,7 @@ pub fn run_cli(names: &[&str], args: &CliArgs) {
             println!("== {}", exp.name);
             println!("================================================================\n");
         }
-        let cells = (exp.grid)(args.quick).len();
-        let jobs = worker_count(args.jobs, cells);
-        let out = run_sweep(exp, args.quick, jobs, args.trace.is_some());
+        let out = run_sweep(exp, args);
         print!("{}", out.rendered);
         trace.push_str(&out.trace);
         reports.push_str(&out.reports);
@@ -538,6 +554,8 @@ fn write_merged(path: &str, contents: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenarios::read_streamers;
+    use pabst_soc::config::{RegulationMode, SystemConfig};
     use std::time::Duration;
 
     #[test]
@@ -596,8 +614,13 @@ mod tests {
     #[should_panic(expected = "no metric")]
     fn missing_metric_names_the_cell() {
         let p = Params::new("t", "c", 0, 1);
-        let r = RunCtx::new(&p, false).finish(&p, Vec::new(), Vec::new());
+        let r = RunCtx::new(&p, &CliArgs::default()).finish(&p, Vec::new(), Vec::new());
         let _ = r.metric("absent");
+    }
+
+    /// A `--quick --jobs <jobs>` sweep.
+    fn quick(jobs: usize) -> CliArgs {
+        CliArgs { quick: true, jobs: Some(jobs), ..CliArgs::default() }
     }
 
     fn flaky_grid(_quick: bool) -> Vec<Params> {
@@ -621,7 +644,7 @@ mod tests {
 
     #[test]
     fn panicking_cell_becomes_a_failure_record_not_a_dead_sweep() {
-        let out = run_sweep(&FLAKY, true, 1, false);
+        let out = run_sweep(&FLAKY, &quick(1));
         assert_eq!(out.failures.len(), 1);
         assert_eq!(out.failures[0].params.config, "cell2");
         assert!(
@@ -650,7 +673,7 @@ mod tests {
         fn grid(quick: bool) -> Vec<Params> {
             flaky_grid(quick).into_iter().map(|p| p.with_provenance(0xfeed, 0xd16e57)).collect()
         }
-        let out = run_sweep(&Experiment { grid, ..FLAKY }, true, 1, false);
+        let out = run_sweep(&Experiment { grid, ..FLAKY }, &quick(1));
         let rec = out.reports.lines().next().expect("the failed cell's record");
         assert!(rec.contains("\"failed\":true"), "{rec}");
         assert!(rec.contains("\"mechanism_hash\":\"0x000000000000feed\""), "{rec}");
@@ -659,11 +682,60 @@ mod tests {
 
     #[test]
     fn failure_records_are_deterministic_across_job_counts() {
-        let serial = run_sweep(&FLAKY, true, 1, false);
-        let parallel = run_sweep(&FLAKY, true, 4, false);
+        let serial = run_sweep(&FLAKY, &quick(1));
+        let parallel = run_sweep(&FLAKY, &quick(4));
         assert_eq!(serial.rendered, parallel.rendered);
         assert_eq!(serial.reports, parallel.reports);
         assert_eq!(serial.failures.len(), parallel.failures.len());
+    }
+
+    fn skip_probe_grid(_quick: bool) -> Vec<Params> {
+        (0..2).map(|i| Params::new("skip_probe", format!("cell{i}"), i, 1)).collect()
+    }
+    fn skip_probe_run(p: &Params, mut ctx: RunCtx) -> ExperimentResult {
+        let builder = SystemBuilder::new(SystemConfig::small_test(), RegulationMode::Pabst)
+            .class(1, read_streamers(0, 1, p.seed));
+        // Cell 1 builds outside the context, as a scenario that forgot
+        // `RunCtx::build` would.
+        let mut sys =
+            if p.index == 0 { ctx.build(builder) } else { builder.build().expect("valid") };
+        sys.run_epochs(p.epochs);
+        ctx.report(&sys);
+        ctx.finish(p, vec![("skip", f64::from(u8::from(sys.skip_enabled())))], Vec::new())
+    }
+    fn skip_probe_render(rs: &[ExperimentResult]) -> String {
+        let cells: Vec<String> = rs.iter().map(|r| format!("{}", r.metric("skip"))).collect();
+        format!("skip: {}\n", cells.join(" "))
+    }
+    const SKIP_PROBE: Experiment = Experiment {
+        name: "skip_probe",
+        title: "one cell built through the context, one outside it",
+        grid: skip_probe_grid,
+        run: skip_probe_run,
+        render: skip_probe_render,
+    };
+
+    #[test]
+    fn no_skip_sweep_reports_only_skip_off_systems() {
+        let on = run_sweep(&SKIP_PROBE, &quick(1));
+        assert!(on.failures.is_empty(), "{}", on.rendered);
+        assert!(on.rendered.starts_with("skip: 1 1\n"), "{}", on.rendered);
+        // Under --no-skip the context's system steps naively, and the
+        // one built around it cannot report as if it had.
+        let off = run_sweep(&SKIP_PROBE, &CliArgs { no_skip: true, ..quick(1) });
+        assert!(off.rendered.starts_with("skip: 0\n"), "{}", off.rendered);
+        assert_eq!(off.failures.len(), 1);
+        assert_eq!(off.failures[0].params.config, "cell1");
+        assert!(
+            off.failures[0].panic.contains("outside RunCtx::build"),
+            "{}",
+            off.failures[0].panic
+        );
+        assert!(
+            off.rendered.contains("--filter skip_probe --jobs 1 --quick --no-skip"),
+            "the repro keeps the sweep's flags: {}",
+            off.rendered
+        );
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! them and the renderers print them. All runners accept an epoch budget
 //! (so `--quick` mode and the micro-benchmark wrappers can shrink them),
 //! a base RNG `seed` their workload generators derive per-core seeds
-//! from (`0` reproduces the paper runs), and a [`RunCtx`] that attaches
-//! trace sinks and collects tagged end-of-run reports for the sweep
-//! harness.
+//! from (`0` reproduces the paper runs), and a [`RunCtx`] that builds
+//! every system (applying the sweep's skip setting and trace sink) and
+//! collects tagged end-of-run reports for the sweep harness.
 
 use crate::harness::RunCtx;
 use pabst_core::governor::GovernorKind;
@@ -85,23 +85,6 @@ pub fn spec_cores(
         .collect()
 }
 
-fn two_class(
-    mode: RegulationMode,
-    w0: u32,
-    w1: u32,
-    c0: Vec<Box<dyn Workload>>,
-    c1: Vec<Box<dyn Workload>>,
-    ctx: &mut RunCtx,
-) -> System {
-    let mut sys = SystemBuilder::new(SystemConfig::baseline_32core(), mode)
-        .class(w0, c0)
-        .class(w1, c1)
-        .build()
-        .expect("valid two-class configuration");
-    ctx.attach(&mut sys);
-    sys
-}
-
 // ---------------------------------------------------------------------
 // Figs. 1 and 7: source vs target vs PABST on two workload mixes.
 // ---------------------------------------------------------------------
@@ -150,12 +133,7 @@ pub fn fig1_cell_with(
         Fig1Mix::StreamStream => (write_streamers(0, 16, seed), write_streamers(1, 16, seed)),
         Fig1Mix::ChaserStream => (chasers(0, 16, seed), read_streamers(1, 16, seed)),
     };
-    let mut sys = SystemBuilder::new(cfg, mode)
-        .class(3, c0)
-        .class(1, c1)
-        .build()
-        .expect("valid two-class configuration");
-    ctx.attach(&mut sys);
+    let mut sys = ctx.build(SystemBuilder::new(cfg, mode).class(3, c0).class(1, c1));
     let warm = epochs / 2;
     sys.run_epochs(warm + epochs);
     ctx.report(&sys);
@@ -186,13 +164,10 @@ pub struct SeriesResult {
 
 /// Runs Fig. 5: two 16-core read-stream classes at 7:3.
 pub fn fig5_series(epochs: usize, seed: u64, ctx: &mut RunCtx) -> SeriesResult {
-    let mut sys = two_class(
-        RegulationMode::Pabst,
-        7,
-        3,
-        read_streamers(0, 16, seed),
-        read_streamers(1, 16, seed),
-        ctx,
+    let mut sys = ctx.build(
+        SystemBuilder::new(SystemConfig::baseline_32core(), RegulationMode::Pabst)
+            .class(7, read_streamers(0, 16, seed))
+            .class(3, read_streamers(1, 16, seed)),
     );
     sys.run_epochs(epochs);
     ctx.report(&sys);
@@ -226,8 +201,11 @@ pub fn fig6_series(epochs: usize, seed: u64, ctx: &mut RunCtx) -> SeriesResult {
             )) as Box<dyn Workload>
         })
         .collect();
-    let mut sys =
-        two_class(RegulationMode::Pabst, 7, 3, periodic, read_streamers(1, 16, seed), ctx);
+    let mut sys = ctx.build(
+        SystemBuilder::new(SystemConfig::baseline_32core(), RegulationMode::Pabst)
+            .class(7, periodic)
+            .class(3, read_streamers(1, 16, seed)),
+    );
     sys.run_epochs(epochs);
     ctx.report(&sys);
     collect_series(&sys)
@@ -266,16 +244,15 @@ pub fn fig8_run(epochs: usize, seed: u64, ctx: &mut RunCtx) -> Fig8Result {
                 as Box<dyn Workload>
         })
         .collect();
-    let mut sys = SystemBuilder::new(SystemConfig::baseline_32core(), RegulationMode::Pabst)
-        .class(1, resident)
-        .l3_ways(0, 4)
-        .class(2, hi)
-        .l3_ways(4, 6)
-        .class(1, lo)
-        .l3_ways(10, 6)
-        .build()
-        .expect("fig8 configuration");
-    ctx.attach(&mut sys);
+    let mut sys = ctx.build(
+        SystemBuilder::new(SystemConfig::baseline_32core(), RegulationMode::Pabst)
+            .class(1, resident)
+            .l3_ways(0, 4)
+            .class(2, hi)
+            .l3_ways(4, 6)
+            .class(1, lo)
+            .l3_ways(10, 6),
+    );
     sys.run_epochs(epochs);
     ctx.report(&sys);
     let from = epochs / 2;
@@ -327,8 +304,7 @@ pub fn fig9_run(
             .collect();
         b = b.class(1, streamers).l3_ways(8, 8);
     }
-    let mut sys = b.build().expect("fig9 configuration");
-    ctx.attach(&mut sys);
+    let mut sys = ctx.build(b);
     sys.run_epochs(WARMUP_EPOCHS);
     sys.mark_measurement();
     sys.run_epochs(epochs.max(20));
@@ -360,12 +336,11 @@ pub struct SpecCell {
 
 /// Mean IPC of the isolated 16-core SPEC run (same 8-way cache slice).
 pub fn spec_isolated_ipc(which: SpecWorkload, epochs: usize, seed: u64, ctx: &mut RunCtx) -> f64 {
-    let mut sys = SystemBuilder::new(SystemConfig::baseline_32core(), RegulationMode::None)
-        .class(32, spec_cores(which, 0, 16, seed))
-        .l3_ways(0, 8)
-        .build()
-        .expect("isolated configuration");
-    ctx.attach(&mut sys);
+    let mut sys = ctx.build(
+        SystemBuilder::new(SystemConfig::baseline_32core(), RegulationMode::None)
+            .class(32, spec_cores(which, 0, 16, seed))
+            .l3_ways(0, 8),
+    );
     sys.run_epochs(WARMUP_EPOCHS);
     sys.mark_measurement();
     sys.run_epochs(epochs);
@@ -383,14 +358,13 @@ pub fn fig10_cell(
     seed: u64,
     ctx: &mut RunCtx,
 ) -> SpecCell {
-    let mut sys = SystemBuilder::new(SystemConfig::baseline_32core(), mode)
-        .class(32, spec_cores(which, 0, 16, seed))
-        .l3_ways(0, 8)
-        .class(1, read_streamers(1, 16, seed))
-        .l3_ways(8, 8)
-        .build()
-        .expect("fig10 configuration");
-    ctx.attach(&mut sys);
+    let mut sys = ctx.build(
+        SystemBuilder::new(SystemConfig::baseline_32core(), mode)
+            .class(32, spec_cores(which, 0, 16, seed))
+            .l3_ways(0, 8)
+            .class(1, read_streamers(1, 16, seed))
+            .l3_ways(8, 8),
+    );
     sys.run_epochs(WARMUP_EPOCHS);
     sys.mark_measurement();
     sys.run_epochs(epochs);
@@ -433,8 +407,7 @@ pub fn fig11_cell(which: SpecWorkload, epochs: usize, seed: u64, ctx: &mut RunCt
     for c in 0..4 {
         b = b.class(1, spec_cores(which, c, 8, seed)).l3_ways(c * 4, 4);
     }
-    let mut sys = b.build().expect("fig11 configuration");
-    ctx.attach(&mut sys);
+    let mut sys = ctx.build(b);
     sys.run_epochs(WARMUP_EPOCHS);
     sys.mark_measurement();
     sys.run_epochs(epochs);
@@ -447,12 +420,11 @@ pub fn fig11_cell(which: SpecWorkload, epochs: usize, seed: u64, ctx: &mut RunCt
     cfg.cores = 8;
     cfg.mcs = 4;
     cfg.dram = cfg.dram.down_clocked(4);
-    let mut base = SystemBuilder::new(cfg, RegulationMode::None)
-        .class(1, spec_cores(which, 0, 8, seed))
-        .l3_ways(0, 4)
-        .build()
-        .expect("fig11 baseline");
-    ctx.attach(&mut base);
+    let mut base = ctx.build(
+        SystemBuilder::new(cfg, RegulationMode::None)
+            .class(1, spec_cores(which, 0, 8, seed))
+            .l3_ways(0, 4),
+    );
     base.run_epochs(WARMUP_EPOCHS);
     base.mark_measurement();
     base.run_epochs(epochs);
@@ -476,12 +448,11 @@ pub fn ablate_writeback(
 ) -> (f64, f64) {
     let mut cfg = SystemConfig::baseline_32core();
     cfg.wb_accounting = policy;
-    let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)
-        .class(7, write_streamers(0, 16, seed))
-        .class(3, write_streamers(1, 16, seed))
-        .build()
-        .expect("ablation configuration");
-    ctx.attach(&mut sys);
+    let mut sys = ctx.build(
+        SystemBuilder::new(cfg, RegulationMode::Pabst)
+            .class(7, write_streamers(0, 16, seed))
+            .class(3, write_streamers(1, 16, seed)),
+    );
     sys.run_epochs(epochs);
     ctx.report(&sys);
     let from = epochs / 2;
@@ -493,12 +464,11 @@ pub fn ablate_writeback(
 pub fn ablate_burst(burst: u64, epochs: usize, seed: u64, ctx: &mut RunCtx) -> f64 {
     let mut cfg = SystemConfig::baseline_32core();
     cfg.pacer_burst = burst;
-    let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)
-        .class(7, read_streamers(0, 16, seed))
-        .class(3, read_streamers(1, 16, seed))
-        .build()
-        .expect("ablation configuration");
-    ctx.attach(&mut sys);
+    let mut sys = ctx.build(
+        SystemBuilder::new(cfg, RegulationMode::Pabst)
+            .class(7, read_streamers(0, 16, seed))
+            .class(3, read_streamers(1, 16, seed)),
+    );
     sys.run_epochs(epochs);
     ctx.report(&sys);
     let from = epochs / 2;
@@ -514,12 +484,11 @@ pub fn ablate_burst(burst: u64, epochs: usize, seed: u64, ctx: &mut RunCtx) -> f
 pub fn ablate_slack(slack: u64, epochs: usize, seed: u64, ctx: &mut RunCtx) -> f64 {
     let mut cfg = SystemConfig::baseline_32core();
     cfg.arbiter_slack = slack;
-    let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)
-        .class(3, chasers(0, 16, seed))
-        .class(1, read_streamers(1, 16, seed))
-        .build()
-        .expect("ablation configuration");
-    ctx.attach(&mut sys);
+    let mut sys = ctx.build(
+        SystemBuilder::new(cfg, RegulationMode::Pabst)
+            .class(3, chasers(0, 16, seed))
+            .class(1, read_streamers(1, 16, seed)),
+    );
     sys.run_epochs(epochs);
     ctx.report(&sys);
     let from = epochs / 2;
@@ -536,12 +505,11 @@ pub fn ablate_slack(slack: u64, epochs: usize, seed: u64, ctx: &mut RunCtx) -> f
 pub fn ablate_inertia(inertia: u32, epochs: usize, seed: u64, ctx: &mut RunCtx) -> (f64, f64) {
     let mut cfg = SystemConfig::baseline_32core();
     cfg.monitor.inertia = inertia;
-    let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)
-        .class(7, read_streamers(0, 16, seed))
-        .class(3, read_streamers(1, 16, seed))
-        .build()
-        .expect("ablation configuration");
-    ctx.attach(&mut sys);
+    let mut sys = ctx.build(
+        SystemBuilder::new(cfg, RegulationMode::Pabst)
+            .class(7, read_streamers(0, 16, seed))
+            .class(3, read_streamers(1, 16, seed)),
+    );
     sys.run_epochs(epochs);
     ctx.report(&sys);
     let from = epochs / 2;
@@ -574,12 +542,11 @@ pub fn skewed_traffic_utilization(per_mc: bool, epochs: usize, seed: u64, ctx: &
                 as Box<dyn Workload>
         })
         .collect();
-    let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)
-        .class(1, skewed)
-        .class(1, read_streamers(1, 16, seed))
-        .build()
-        .expect("skewed configuration");
-    ctx.attach(&mut sys);
+    let mut sys = ctx.build(
+        SystemBuilder::new(cfg, RegulationMode::Pabst)
+            .class(1, skewed)
+            .class(1, read_streamers(1, 16, seed)),
+    );
     sys.run_epochs(epochs);
     ctx.report(&sys);
     sys.metrics().total_bytes_per_cycle(epochs / 2)
@@ -610,12 +577,11 @@ pub struct ScaleResult {
 /// the other half at weight 1 (the Fig. 5 contest, scaled to the shape).
 pub fn scale_cell(cfg: SystemConfig, epochs: usize, seed: u64, ctx: &mut RunCtx) -> ScaleResult {
     let half = cfg.cores / 2;
-    let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)
-        .class(3, read_streamers(0, half, seed))
-        .class(1, read_streamers(1, half, seed))
-        .build()
-        .expect("valid scale configuration");
-    ctx.attach(&mut sys);
+    let mut sys = ctx.build(
+        SystemBuilder::new(cfg, RegulationMode::Pabst)
+            .class(3, read_streamers(0, half, seed))
+            .class(1, read_streamers(1, half, seed)),
+    );
     let warm = epochs / 2;
     sys.run_epochs(warm + epochs);
     ctx.report(&sys);
@@ -667,13 +633,12 @@ pub fn resilience_cell(
 ) -> ResilienceResult {
     let mut cfg = SystemConfig::scaled_8core();
     cfg.invariants.liveness_epochs = 50;
-    let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)
-        .class(3, read_streamers(0, 4, seed))
-        .class(1, read_streamers(1, 4, seed))
-        .fault_plan(plan)
-        .build()
-        .expect("valid resilience configuration");
-    ctx.attach(&mut sys);
+    let mut sys = ctx.build(
+        SystemBuilder::new(cfg, RegulationMode::Pabst)
+            .class(3, read_streamers(0, 4, seed))
+            .class(1, read_streamers(1, 4, seed))
+            .fault_plan(plan),
+    );
     let warm = epochs / 2;
     sys.run_epochs(warm + epochs);
     ctx.report(&sys);
@@ -730,12 +695,11 @@ pub fn mechanisms_cell(
     let mut c0: Vec<Box<dyn Workload>> =
         vec![Box::new(MemcachedGen::new(region_for(2, 0, 1 << 18), seed + 7))];
     c0.extend(if chaser_mix { chasers(0, 3, seed) } else { read_streamers(0, 3, seed) });
-    let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)
-        .class(3, c0)
-        .class(1, read_streamers(1, 4, seed))
-        .build()
-        .expect("valid mechanisms configuration");
-    ctx.attach(&mut sys);
+    let mut sys = ctx.build(
+        SystemBuilder::new(cfg, RegulationMode::Pabst)
+            .class(3, c0)
+            .class(1, read_streamers(1, 4, seed)),
+    );
     let warm = epochs / 2;
     sys.run_epochs(warm);
     sys.mark_measurement();

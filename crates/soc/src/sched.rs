@@ -47,8 +47,13 @@
 //! global horizon (see `docs/PERFORMANCE.md`): a tile is parked only
 //! when its own horizon proves it inert, and a wake can only be early
 //! (costing a few live steps), never late.
+//!
+//! The scheduler also holds the one skip switch (`SystemBuilder::skip`;
+//! `--no-skip` on the bench binaries). Off, nothing parks and
+//! `System::advance` never probes, so the same step loop visits every
+//! tile every cycle: the naive per-cycle interpreter, the oracle.
 
-use pabst_simkit::horizon::{DomainHorizon, NO_WAKE};
+use pabst_simkit::horizon::{DomainHorizon, Horizon, NO_WAKE};
 use pabst_simkit::Cycle;
 
 use crate::tile::Tile;
@@ -63,6 +68,8 @@ use crate::tile::Tile;
 #[derive(Debug)]
 pub struct DomainSched {
     tiles: DomainHorizon,
+    /// The skip switch (see the module doc).
+    enabled: bool,
     /// Tile-cycles elided by parking (diagnostic only; absent from all
     /// artifacts, like `cycles_skipped`).
     tile_cycles: u64,
@@ -70,8 +77,15 @@ pub struct DomainSched {
 
 impl DomainSched {
     /// A scheduler for `tiles` tile domains, all initially resident.
-    pub fn new(tiles: usize) -> Self {
-        Self { tiles: DomainHorizon::new(tiles), tile_cycles: 0 }
+    /// With `enabled` false nothing ever parks (naive stepping).
+    pub fn new(tiles: usize, enabled: bool) -> Self {
+        Self { tiles: DomainHorizon::new(tiles), enabled, tile_cycles: 0 }
+    }
+
+    /// Whether skipping is on: tiles park and `System::advance` probes
+    /// the horizon for global jumps.
+    pub fn enabled(&self) -> bool {
+        self.enabled
     }
 
     /// True when tile `i` is parked (the step loop must not visit it).
@@ -94,6 +108,32 @@ impl DomainSched {
             NO_WAKE => None,
             at => Some(at),
         }
+    }
+
+    /// True when tile `i`'s core provably cannot retire, issue, or
+    /// dispatch at `now` (refused accesses are inert until the port
+    /// releases an MSHR): its ROB-full stall is accrued here and the
+    /// caller skips the pipeline walk. If the injection path is quiet
+    /// too, the tile parks with owed bookkeeping from `now + 1` (this
+    /// cycle was handled live) and its horizon as the cached wake.
+    /// Always false with skipping off.
+    pub fn park_if_idle(&mut self, i: usize, now: Cycle, tile: &mut Tile) -> bool {
+        if !self.enabled {
+            return false;
+        }
+        let core_h = tile.core_next_event(now);
+        if core_h.is_some_and(|at| at <= now) {
+            return false;
+        }
+        tile.core.accrue_skip(1);
+        let mut th = Horizon::new();
+        th.merge(core_h);
+        th.merge(tile.mem.next_inject_at(now));
+        let th = th.get();
+        if th.is_none_or(|at| at > now) {
+            self.park_tile(i, now + 1, th);
+        }
+        true
     }
 
     /// Parks tile `i`: bookkeeping owed from `owed_from`, cached

@@ -58,13 +58,11 @@ pub struct System {
     monitors: Vec<Box<dyn Governor>>,
     rategen: RateGenerator,
     metrics: Metrics,
-    /// Event-horizon fast-forward active (the default; cleared by
-    /// [`force_no_skip`] or [`SystemBuilder::skip`]).
-    skip_enabled: bool,
     /// Park/unpark scheduler over the per-tile skip domains (see
-    /// [`crate::sched::DomainSched`]). Structurally inert when skipping
-    /// is disabled: nothing ever parks, so every wake is a no-op.
-    /// Controllers are not domains: they step every stepped cycle.
+    /// [`crate::sched::DomainSched`]), and the owner of the skip switch
+    /// ([`SystemBuilder::skip`]). Structurally inert when skipping is
+    /// off: nothing ever parks, so every wake is a no-op. Controllers
+    /// are not domains: they step every stepped cycle.
     sched: DomainSched,
     /// Next cycle at which [`System::advance`] probes the horizon. Purely
     /// a host-side pacing knob: simulated behavior never depends on it.
@@ -115,19 +113,6 @@ pub struct System {
 
 /// SAT broadcast history kept per monitor for the sat-delay fault kind.
 const SAT_HISTORY_MAX: usize = 64;
-
-/// Process-wide kill switch for cycle skipping (see
-/// [`force_no_skip`]).
-static FORCE_NO_SKIP: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Forces naive per-cycle stepping for every [`System`] built in this
-/// process from now on. This is what the bench binaries' `--no-skip`
-/// flag calls for CI A/B runs; an explicit [`SystemBuilder::skip`] call
-/// still wins. There is no undo — the switch is for whole-process A/B
-/// runs, not per-system toggling.
-pub fn force_no_skip() {
-    FORCE_NO_SKIP.store(true, std::sync::atomic::Ordering::Relaxed);
-}
 
 impl System {
     /// Default cap on the horizon probe backoff (see `System::advance`;
@@ -196,9 +181,10 @@ impl System {
         self.metrics.mc_cycles_skipped
     }
 
-    /// Whether quiescence-aware cycle skipping is active.
+    /// Whether quiescence-aware cycle skipping is active
+    /// ([`SystemBuilder::skip`]).
     pub fn skip_enabled(&self) -> bool {
-        self.skip_enabled
+        self.sched.enabled()
     }
 
     /// Mutable metrics (service-time percentiles need `&mut`).
@@ -385,7 +371,7 @@ impl System {
     /// never affects simulated behavior.
     fn advance(&mut self, until: Cycle) {
         while self.now < until {
-            if self.skip_enabled && self.now >= self.probe_at {
+            if self.sched.enabled() && self.now >= self.probe_at {
                 let h = self.horizon();
                 if h != Some(self.now) {
                     let e = self.cfg.epoch_cycles;
@@ -548,47 +534,22 @@ impl System {
             }
         }
 
-        // 5. Tiles: inject paced L2 misses + L2 writebacks, then step cores.
+        // 5. Tiles: inject paced L2 misses + L2 writebacks, then step the
+        //    resident cores in index order (every core when skipping is
+        //    off). An idle core accrues its stall instead of stepping and
+        //    may park; parking tile `i` clears only its own bit, behind
+        //    the walk.
         self.tile_injection(now);
-        if !self.skip_enabled {
-            // The naive A/B baseline: a pure per-cycle interpreter.
-            for (i, tile) in self.tiles.iter_mut().enumerate() {
-                tile.step_core(now);
-                self.metrics.record_markers(i, &mut tile.core);
+        let n = self.tiles.len();
+        let mut next = self.sched.next_resident_tile(0, n);
+        while let Some(i) = next {
+            next = self.sched.next_resident_tile(i + 1, n);
+            let tile = &mut self.tiles[i];
+            if self.sched.park_if_idle(i, now, tile) {
+                continue;
             }
-        } else {
-            // Only resident tiles, in index order; parking tile `i` below
-            // clears only its own bit, behind the walk.
-            let n = self.tiles.len();
-            let mut next = self.sched.next_resident_tile(0, n);
-            while let Some(i) = next {
-                next = self.sched.next_resident_tile(i + 1, n);
-                let tile = &mut self.tiles[i];
-                // Per-tile quiescence: a core that provably cannot retire,
-                // issue, or dispatch this cycle would only bump its
-                // ROB-full stall counter — accrue that directly and skip
-                // the pipeline walk. Refused accesses count as inert until
-                // the port releases an MSHR, which only stage 4's fills do.
-                let core_h = tile.core_next_event(now);
-                if core_h.is_none_or(|at| at > now) {
-                    tile.core.accrue_skip(1);
-                    // Tile-local park: when the injection path is also
-                    // quiescent past `now`, stop visiting the tile. This
-                    // cycle was handled live (the injection NACK above,
-                    // the stall accrual here), so owed starts next cycle;
-                    // the tile horizon becomes the cached wake.
-                    let mut th = pabst_simkit::horizon::Horizon::new();
-                    th.merge(core_h);
-                    th.merge(tile.mem.next_inject_at(now));
-                    let th = th.get();
-                    if th.is_none_or(|at| at > now) {
-                        self.sched.park_tile(i, now + 1, th);
-                    }
-                    continue;
-                }
-                tile.step_core(now);
-                self.metrics.record_markers(i, &mut tile.core);
-            }
+            tile.step_core(now);
+            self.metrics.record_markers(i, &mut tile.core);
         }
 
         self.now += 1;
@@ -750,40 +711,29 @@ impl System {
         // fast-forward jump lands on exactly the cursor naive stepping
         // would have reached.
         let start = (now % n as u64) as usize;
-        if !self.skip_enabled {
-            for off in 0..n {
-                self.inject_from(now, (start + off) % n);
-            }
-            return;
-        }
-        // The same order over resident tiles only: `start..n`, then
-        // `0..start`. A parked tile's injection path is provably
-        // quiescent (its park horizon folded `next_inject_at`); the NACK
-        // its pacer would take this cycle is owed and accrues at wake.
+        // Resident tiles in rotated order, `start..n` then `0..start`
+        // (every tile when skipping is off). A parked tile's injection
+        // path is provably quiescent (its park horizon folded
+        // `next_inject_at`); the NACK its pacer would take this cycle is
+        // owed and accrues at wake.
         for (from, end) in [(start, n), (0, start)] {
             let mut next = self.sched.next_resident_tile(from, end);
             while let Some(i) = next {
-                self.inject_from(now, i);
                 next = self.sched.next_resident_tile(i + 1, end);
+                // At most one L2 miss or writeback per tile per cycle;
+                // idle tiles are skipped before the pacer is consulted.
+                let mem = &mut self.tiles[i].mem;
+                if !mem.wants_inject() {
+                    continue;
+                }
+                if let Some(req) = mem.try_inject(now) {
+                    let class = mem.class;
+                    self.net.send_request(
+                        now,
+                        L3Req { line: req.line, class, tile: i, store: req.store, l2_wb: false },
+                    );
+                }
             }
-        }
-    }
-
-    /// Offers tile `i`'s next L2 miss or writeback to its pacer, at most
-    /// one injection per tile per cycle.
-    fn inject_from(&mut self, now: Cycle, i: usize) {
-        let mem = &mut self.tiles[i].mem;
-        // Idle tiles (nothing queued for injection) are skipped before
-        // the pacer is consulted.
-        if !mem.wants_inject() {
-            return;
-        }
-        if let Some(req) = mem.try_inject(now) {
-            let class = mem.class;
-            self.net.send_request(
-                now,
-                L3Req { line: req.line, class, tile: i, store: req.store, l2_wb: false },
-            );
         }
     }
 
@@ -1082,7 +1032,7 @@ pub struct SystemBuilder {
     workloads: Vec<Vec<Box<dyn Workload>>>,
     l3_ways: Vec<Option<(usize, usize)>>,
     fault_plan: Option<FaultPlan>,
-    skip: Option<bool>,
+    skip: bool,
     probe_cap: Option<u64>,
 }
 
@@ -1097,7 +1047,7 @@ impl SystemBuilder {
             workloads: Vec::new(),
             l3_ways: Vec::new(),
             fault_plan: None,
-            skip: None,
+            skip: true,
             probe_cap: None,
         }
     }
@@ -1115,12 +1065,13 @@ impl SystemBuilder {
         self
     }
 
-    /// Overrides quiescence-aware cycle skipping for this system. The
-    /// default is on, unless [`force_no_skip`] was called.
+    /// Turns quiescence-aware cycle skipping on (the default) or off.
+    /// The only skip switch: the bench binaries' `--no-skip` flag ends
+    /// here, and the built system's [`DomainSched`] holds the bit.
     /// Skipping is an execution strategy, not a model parameter: every
     /// observable output is byte-identical either way.
     pub fn skip(mut self, enabled: bool) -> Self {
-        self.skip = Some(enabled);
+        self.skip = enabled;
         self
     }
 
@@ -1231,8 +1182,6 @@ impl SystemBuilder {
             })
             .collect();
         let faults_injected = mc_stalled.iter().filter(|&&s| s).count() as u64;
-        let skip_enabled =
-            self.skip.unwrap_or_else(|| !FORCE_NO_SKIP.load(std::sync::atomic::Ordering::Relaxed));
         Ok(System {
             metrics: Metrics::new(cores, classes, self.cfg.epoch_cycles),
             l3,
@@ -1247,8 +1196,7 @@ impl SystemBuilder {
             threads,
             shares,
             now: 0,
-            skip_enabled,
-            sched: DomainSched::new(cores),
+            sched: DomainSched::new(cores, self.skip),
             probe_at: 0,
             probe_backoff: 1,
             probe_cap: self.probe_cap.unwrap_or(System::DEFAULT_PROBE_BACKOFF_CAP),
@@ -1731,15 +1679,42 @@ mod tests {
             sys.run_epochs(8);
             let records = cap.0.borrow().clone();
             let retired: Vec<u64> = sys.tiles().iter().map(|t| t.core.stats().retired).collect();
-            (records, sys.now(), retired, sys.cycles_skipped())
+            let skipped =
+                [sys.cycles_skipped(), sys.tile_cycles_skipped(), sys.mc_cycles_skipped()];
+            (records, sys.now(), retired, skipped)
         };
         let (rec_skip, now_skip, ret_skip, skipped) = run(true);
         let (rec_naive, now_naive, ret_naive, skipped_naive) = run(false);
         assert_eq!(rec_skip, rec_naive, "trace records must be byte-identical");
         assert_eq!(now_skip, now_naive);
         assert_eq!(ret_skip, ret_naive);
-        assert_eq!(skipped_naive, 0, "naive mode must never skip");
-        assert!(skipped > 0, "saturating streams must leave skippable gaps, got 0");
+        assert_eq!(skipped_naive, [0; 3], "naive mode must never jump, park, or accrue");
+        assert!(skipped[0] > 0, "saturating streams must leave skippable gaps, got 0");
+    }
+
+    #[test]
+    fn naive_idle_heavy_run_never_parks() {
+        // Single-chain chasers leave every tile waiting out a miss most
+        // cycles: with skipping on the tiles park, with it off the same
+        // machine is the per-cycle oracle and nothing parks. The trace
+        // matches either way.
+        let run = |skip: bool| {
+            let mut sys = SystemBuilder::new(SystemConfig::small_test(), RegulationMode::Pabst)
+                .class(1, chaser_boxes(2))
+                .skip(skip)
+                .build()
+                .unwrap();
+            let cap = Cap::default();
+            sys.add_trace_sink(Box::new(cap.clone()));
+            sys.run_epochs(6);
+            let records = cap.0.borrow().clone();
+            (records, sys.tile_cycles_skipped(), sys.cycles_skipped())
+        };
+        let (rec_skip, parked, jumped) = run(true);
+        let (rec_naive, parked_naive, jumped_naive) = run(false);
+        assert_eq!(rec_skip, rec_naive, "trace records must be byte-identical");
+        assert!(parked > 0 && jumped > 0, "idle chasers must park and jump: {parked}, {jumped}");
+        assert_eq!((parked_naive, jumped_naive), (0, 0), "no tile may park with skipping off");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use pabst_bench::chaos::{self, Outcome, FIXTURE_INDEX};
 use pabst_bench::harness::run_sweep;
+use pabst_bench::obs::CliArgs;
 use pabst_bench::registry::{self, resilience_curve, MECHANISM_COMBOS};
 use pabst_bench::scenarios::read_streamers;
 use pabst_simkit::fault::FaultPlan;
@@ -98,8 +99,9 @@ fn chaos_campaign_is_deterministic_catches_and_shrinks_the_fixture() {
         "every chaos cell carries (mechanism_hash, fault_digest) provenance"
     );
 
-    let serial = run_sweep(exp, true, 1, false);
-    let parallel = run_sweep(exp, true, 3, false);
+    let quick = |jobs| CliArgs { quick: true, jobs: Some(jobs), ..CliArgs::default() };
+    let serial = run_sweep(exp, &quick(1));
+    let parallel = run_sweep(exp, &quick(3));
     assert_eq!(serial.rendered, parallel.rendered, "campaign report depends on --jobs");
     assert_eq!(serial.reports, parallel.reports, "merged cell reports depend on --jobs");
     assert!(serial.failures.is_empty(), "chaos classifies panics; cells must never fail the sweep");
@@ -136,8 +138,8 @@ fn fixture_outcome_reproduces_from_campaign_coordinates_alone() {
     // from (CAMPAIGN_SEED, index) and re-running it yields the same
     // classification — no sweep state involved.
     let cell = chaos::cell_descriptor(FIXTURE_INDEX);
-    let (a, _) = chaos::run_cell(&cell, 8, 0);
-    let (b, _) = chaos::run_cell(&chaos::cell_descriptor(FIXTURE_INDEX), 8, 0);
+    let (a, _) = chaos::run_cell(&cell, 8, 0, true);
+    let (b, _) = chaos::run_cell(&chaos::cell_descriptor(FIXTURE_INDEX), 8, 0, true);
     assert_eq!(a.outcome, Outcome::InvariantViolation);
     assert_eq!(b.outcome, a.outcome);
     assert_eq!(b.violations, a.violations);

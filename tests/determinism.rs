@@ -12,9 +12,12 @@ use pabst_bench::harness::{run_sweep, SweepOutput};
 use pabst_bench::obs::CliArgs;
 use pabst_bench::registry;
 
+/// A traced `--quick --jobs <jobs>` sweep (the trace stays buffered in
+/// the output; only `run_cli` writes the file).
 fn sweep(name: &str, jobs: usize) -> SweepOutput {
     let exp = registry::find(name).expect("registered experiment");
-    run_sweep(exp, true, jobs, true)
+    let trace = Some("trace.jsonl".to_string());
+    run_sweep(exp, &CliArgs { quick: true, jobs: Some(jobs), trace, ..CliArgs::default() })
 }
 
 #[test]

@@ -5,6 +5,7 @@
 //! or a truncated report.
 
 use pabst_bench::harness::{run_sweep, Experiment, ExperimentResult, Params, RunCtx, SweepOutput};
+use pabst_bench::obs::CliArgs;
 use pabst_bench::registry;
 use pabst_cpu::Workload;
 use pabst_simkit::fault::{FaultKind, FaultPlan, FaultSpec, PPM_SCALE};
@@ -12,9 +13,12 @@ use pabst_soc::config::{RegulationMode, SystemConfig};
 use pabst_soc::system::SystemBuilder;
 use pabst_workloads::{Region, StreamGen};
 
+/// A traced `--quick --jobs <jobs>` sweep (the trace stays buffered in
+/// the output; only `run_cli` writes the file).
 fn sweep(name: &str, jobs: usize) -> SweepOutput {
     let exp = registry::find(name).expect("registered experiment");
-    run_sweep(exp, true, jobs, true)
+    let trace = Some("trace.jsonl".to_string());
+    run_sweep(exp, &CliArgs { quick: true, jobs: Some(jobs), trace, ..CliArgs::default() })
 }
 
 #[test]
@@ -79,12 +83,16 @@ const FLAKY: Experiment = Experiment {
 #[test]
 fn panicking_cell_yields_failure_record_and_complete_report() {
     for jobs in [1, 3] {
-        let out = run_sweep(&FLAKY, true, jobs, false);
+        let args = CliArgs { quick: true, jobs: Some(jobs), no_skip: true, ..CliArgs::default() };
+        let out = run_sweep(&FLAKY, &args);
         assert_eq!(out.failures.len(), 1, "exactly the injected failure (jobs={jobs})");
         let f = &out.failures[0];
         assert_eq!(f.params.config, "cell2");
         assert!(f.panic.contains("injected panic in cell 2"), "{}", f.panic);
-        assert!(f.repro("resilience").contains("--jobs 1"), "repro pins one worker");
+        let repro = f.repro(FLAKY.name, &args);
+        assert!(repro.contains("--jobs 1"), "repro pins one worker");
+        assert!(repro.ends_with(" --quick --no-skip"), "repro keeps the sweep's flags: {repro}");
+        assert!(out.rendered.contains(&repro), "{}", out.rendered);
         // The surviving cells still render, and the failure is visible.
         assert!(out.rendered.starts_with("flaky_it: 0 1 3\n"), "{}", out.rendered);
         assert!(out.rendered.contains("FAILED flaky_it/cell2 (seed 0):"), "{}", out.rendered);
