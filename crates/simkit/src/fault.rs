@@ -46,6 +46,7 @@
 
 use std::fmt::Write as _;
 
+use crate::jsonl::{self, LineError};
 use crate::rng::SimRng;
 
 /// Probability scale: `prob_ppm` is parts per million, so `1_000_000`
@@ -311,7 +312,6 @@ impl std::error::Error for FaultParseError {}
 
 /// Parses one spec object. Line numbers are filled in by the caller.
 fn parse_spec_line(line: &str) -> Result<FaultSpec, FaultParseError> {
-    let mut cur = Cursor { s: line.as_bytes(), pos: 0 };
     let mut kind: Option<FaultKind> = None;
     let mut spec = FaultSpec {
         kind: FaultKind::SatDrop, // placeholder until `kind` is seen
@@ -322,155 +322,37 @@ fn parse_spec_line(line: &str) -> Result<FaultSpec, FaultParseError> {
         magnitude: 0,
         seed: 0,
     };
-    cur.skip_ws();
-    cur.eat(b'{')?;
-    cur.skip_ws();
-    if cur.peek() == Some(b'}') {
-        cur.pos += 1;
-    } else {
-        loop {
-            let key = cur.parse_key()?;
-            cur.skip_ws();
-            cur.eat(b':')?;
-            cur.skip_ws();
-            match key {
-                "kind" => {
-                    let label_at = cur.pos;
-                    let label = cur.parse_string()?;
-                    kind = Some(FaultKind::from_label(label).ok_or_else(|| FaultParseError {
-                        line: 0,
-                        offset: label_at,
-                        message: format!("unknown fault kind {label:?}"),
-                    })?);
-                }
-                "target" => spec.target = cur.parse_field(key)?,
-                "from_epoch" => spec.from_epoch = cur.parse_field(key)?,
-                "until_epoch" => spec.until_epoch = cur.parse_field(key)?,
-                "prob_ppm" => spec.prob_ppm = cur.parse_field(key)?,
-                "magnitude" => spec.magnitude = cur.parse_field(key)?,
-                "seed" => spec.seed = cur.parse_field(key)?,
-                other => {
-                    return Err(FaultParseError {
-                        line: 0,
-                        offset: cur.pos,
-                        message: format!("unknown key {other:?}"),
-                    })
-                }
+    jsonl::parse_object(line, |key, cur| {
+        match key {
+            "kind" => {
+                let label_at = cur.pos();
+                let label = cur.parse_string()?;
+                kind = Some(FaultKind::from_label(label).ok_or_else(|| LineError {
+                    offset: label_at,
+                    message: format!("unknown fault kind {label:?}"),
+                })?);
             }
-            cur.skip_ws();
-            match cur.bump() {
-                Some(b',') => cur.skip_ws(),
-                Some(b'}') => break,
-                _ => return Err(cur.err("expected ',' or '}'")),
-            }
+            "target" => spec.target = cur.parse_field(key)?,
+            "from_epoch" => spec.from_epoch = cur.parse_field(key)?,
+            "until_epoch" => spec.until_epoch = cur.parse_field(key)?,
+            "prob_ppm" => spec.prob_ppm = cur.parse_field(key)?,
+            "magnitude" => spec.magnitude = cur.parse_field(key)?,
+            "seed" => spec.seed = cur.parse_field(key)?,
+            other => return Err(cur.err(&format!("unknown key {other:?}"))),
         }
-    }
-    cur.skip_ws();
-    if cur.pos != cur.s.len() {
-        return Err(cur.err("trailing bytes after spec"));
-    }
+        Ok(())
+    })
+    .map_err(|e| FaultParseError { line: 0, offset: e.offset, message: e.message })?;
+    // Whole-spec checks point past the object's closing brace.
+    let at_end = |message: String| FaultParseError { line: 0, offset: line.len(), message };
     match kind {
         Some(k) => spec.kind = k,
-        None => return Err(cur.err("spec is missing the mandatory `kind` key")),
+        None => return Err(at_end("spec is missing the mandatory `kind` key".into())),
     }
     if spec.prob_ppm > PPM_SCALE {
-        return Err(cur.err(&format!("prob_ppm {} exceeds {PPM_SCALE}", spec.prob_ppm)));
+        return Err(at_end(format!("prob_ppm {} exceeds {PPM_SCALE}", spec.prob_ppm)));
     }
     Ok(spec)
-}
-
-/// Byte cursor over one plan line (the trace-record grammar plus quoted
-/// strings for the kind label).
-struct Cursor<'a> {
-    s: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn err(&self, message: &str) -> FaultParseError {
-        FaultParseError { line: 0, offset: self.pos, message: message.into() }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, want: u8) -> Result<(), FaultParseError> {
-        if self.peek() == Some(want) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", char::from(want))))
-        }
-    }
-
-    /// A double-quoted string; escapes are not part of the grammar
-    /// (kind labels are plain ASCII identifiers).
-    fn parse_string(&mut self) -> Result<&'a str, FaultParseError> {
-        self.eat(b'"')?;
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b == b'"' {
-                let raw = &self.s[start..self.pos];
-                self.pos += 1;
-                return std::str::from_utf8(raw).map_err(|_| FaultParseError {
-                    line: 0,
-                    offset: start,
-                    message: "string is not UTF-8".into(),
-                });
-            }
-            if b == b'\\' {
-                return Err(self.err("escapes are not part of the plan grammar"));
-            }
-            self.pos += 1;
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    fn parse_key(&mut self) -> Result<&'a str, FaultParseError> {
-        self.parse_string()
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, FaultParseError> {
-        let start = self.pos;
-        let mut v: u64 = 0;
-        let mut any = false;
-        while let Some(b @ b'0'..=b'9') = self.peek() {
-            let digit = u64::from(b - b'0');
-            v = v.checked_mul(10).and_then(|v| v.checked_add(digit)).ok_or_else(|| {
-                FaultParseError { line: 0, offset: start, message: "integer overflows u64".into() }
-            })?;
-            self.pos += 1;
-            any = true;
-        }
-        if any {
-            Ok(v)
-        } else {
-            Err(self.err("expected an unsigned integer"))
-        }
-    }
-
-    /// [`Cursor::parse_u64`] for a named spec field: failures name the
-    /// offending field, so a malformed plan line reports *what* was
-    /// wrong, not just where.
-    fn parse_field(&mut self, field: &str) -> Result<u64, FaultParseError> {
-        self.parse_u64().map_err(|mut e| {
-            e.message = format!("field {field:?}: {}", e.message);
-            e
-        })
-    }
 }
 
 #[cfg(test)]

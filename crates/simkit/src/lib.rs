@@ -8,12 +8,14 @@
 //!
 //! * [`Cycle`] — the simulated time unit (one CPU clock at 2 GHz by
 //!   convention, so 10 µs = 20 000 cycles).
-//! * [`queue::BoundedQueue`] — a finite FIFO with explicit backpressure.
-//! * [`queue::DelayQueue`] — a FIFO whose entries become visible only after
-//!   a fixed latency, used to model pipelined paths (network hops, cache
-//!   lookup latencies).
-//! * [`stats`] — counters, windowed rates, streaming histograms and
-//!   per-epoch time series used to produce every figure in the paper.
+//! * [`queue::BoundedQueue`] — a finite FIFO with explicit backpressure
+//!   (the memory controller's ingress port).
+//! * [`queue::VarDelayQueue`] — a latency queue whose entries become
+//!   visible at per-entry ready cycles, modelling the network paths of a
+//!   topology.
+//! * [`stats`] — per-epoch averages, exact histograms, per-class epoch
+//!   time series and the allocation-error metric behind every figure in
+//!   the paper.
 //! * [`rng::SimRng`] — a deterministic, explicitly seeded SplitMix64
 //!   generator, the only randomness source allowed in the simulator.
 //! * [`fault`] — deterministic fault-injection plans: seed-reproducible
@@ -36,12 +38,16 @@
 //! # Examples
 //!
 //! ```
-//! use pabst_simkit::queue::DelayQueue;
+//! use pabst_simkit::queue::{BoundedQueue, VarDelayQueue};
 //!
-//! let mut q: DelayQueue<&'static str> = DelayQueue::new(3);
-//! q.push(10, "hello");
-//! assert_eq!(q.pop_ready(12), None); // not visible until cycle 13
-//! assert_eq!(q.pop_ready(13), Some("hello"));
+//! // A 3-cycle link feeding a one-entry port: the port pushes back.
+//! let mut link: VarDelayQueue<&'static str> = VarDelayQueue::new();
+//! link.push(10 + 3, "a");
+//! link.push(11 + 3, "b");
+//! let mut port = BoundedQueue::new(1);
+//! assert_eq!(link.pop_ready(12), None); // not visible until cycle 13
+//! assert_eq!(port.push(link.pop_ready(13).unwrap()), Ok(()));
+//! assert_eq!(port.push(link.pop_ready(14).unwrap()), Err("b")); // full
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,6 +56,7 @@
 pub mod fault;
 pub mod horizon;
 pub mod invariant;
+mod jsonl;
 pub mod queue;
 pub mod rng;
 pub mod stats;

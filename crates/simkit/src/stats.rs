@@ -1,63 +1,11 @@
-//! Measurement infrastructure: counters, streaming histograms and per-epoch
-//! time series.
+//! Measurement infrastructure: per-epoch averages, exact histograms and
+//! per-epoch time series.
 //!
 //! Everything the paper reports — bandwidth shares (Figs. 1, 5–8), service
 //! time distributions (Fig. 9), weighted slowdown (Figs. 10–11) and memory
 //! efficiency (Fig. 12) — is derived from these primitives.
 
 use crate::Cycle;
-
-/// A monotonically increasing event counter with an epoch-delta facility.
-///
-/// # Examples
-///
-/// ```
-/// use pabst_simkit::stats::Counter;
-///
-/// let mut c = Counter::default();
-/// c.add(3);
-/// c.add(4);
-/// assert_eq!(c.total(), 7);
-/// assert_eq!(c.take_delta(), 7);
-/// c.add(1);
-/// assert_eq!(c.take_delta(), 1);
-/// assert_eq!(c.total(), 8);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter {
-    total: u64,
-    last_mark: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increments the counter by one.
-    pub fn inc(&mut self) {
-        self.total += 1;
-    }
-
-    /// Adds `n` events.
-    pub fn add(&mut self, n: u64) {
-        self.total += n;
-    }
-
-    /// Total events since construction.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Events since the previous call to `take_delta` (or construction), and
-    /// marks the current total as the new baseline.
-    pub fn take_delta(&mut self) -> u64 {
-        let d = self.total - self.last_mark;
-        self.last_mark = self.total;
-        d
-    }
-}
 
 /// Accumulates a per-epoch average of a sampled quantity (e.g. memory
 /// controller read-queue occupancy, sampled every cycle).
@@ -90,27 +38,14 @@ impl EpochAverage {
     }
 
     /// Returns `(sum, samples)` recorded so far this epoch and resets for
-    /// the next epoch. This is the integer form of
-    /// [`EpochAverage::take_mean`], for decisions that must stay in the
-    /// integer domain: a threshold test `mean > t` is exactly
-    /// `sum > t * samples` with no float rounding in the loop.
+    /// the next epoch. Decisions stay in the integer domain: a threshold
+    /// test `mean > t` is exactly `sum > t * samples` with no float
+    /// rounding in the loop.
     pub fn take_raw(&mut self) -> (u64, u64) {
         let raw = (self.sum, self.samples);
         self.sum = 0;
         self.samples = 0;
         raw
-    }
-
-    /// Returns the mean of samples recorded so far this epoch, or 0.0 when
-    /// no samples were recorded, then resets for the next epoch.
-    /// Reporting-only; mechanism decisions use [`EpochAverage::take_raw`].
-    pub fn take_mean(&mut self) -> f64 {
-        let (sum, samples) = self.take_raw();
-        if samples == 0 {
-            0.0
-        } else {
-            sum as f64 / samples as f64
-        }
     }
 
     /// Number of samples recorded this epoch so far.
@@ -298,25 +233,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_delta_resets_baseline() {
-        let mut c = Counter::new();
-        c.inc();
-        c.inc();
-        assert_eq!(c.take_delta(), 2);
-        assert_eq!(c.take_delta(), 0);
-        c.add(5);
-        assert_eq!(c.take_delta(), 5);
-        assert_eq!(c.total(), 7);
-    }
-
-    #[test]
     fn epoch_average_means_and_resets() {
         let mut a = EpochAverage::new();
         a.sample(2);
         a.sample(4);
         assert_eq!(a.samples(), 2);
-        assert_eq!(a.take_mean(), 3.0);
-        assert_eq!(a.take_mean(), 0.0); // empty epoch
+        assert_eq!(a.take_raw(), (6, 2)); // mean 3
+        assert_eq!(a.take_raw(), (0, 0)); // empty epoch
+        assert_eq!(a.samples(), 0);
     }
 
     #[test]
@@ -330,7 +254,8 @@ mod tests {
             looped.sample(3);
         }
         assert_eq!(batched.samples(), looped.samples());
-        assert_eq!(batched.take_mean(), looped.take_mean());
+        assert_eq!(batched.take_raw(), looped.take_raw());
+        assert_eq!(looped.take_raw(), (0, 0));
     }
 
     #[test]

@@ -30,6 +30,8 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io;
 
+use crate::jsonl;
+
 /// One structured observation of the whole system at an epoch boundary.
 ///
 /// Field order here is the serialization order of [`EpochRecord::to_json`].
@@ -140,162 +142,29 @@ impl std::error::Error for TraceParseError {}
 /// Returns [`TraceParseError`] on any syntax violation, unknown key, or
 /// type mismatch, pointing at the offending byte.
 pub fn parse_line(line: &str) -> Result<EpochRecord, TraceParseError> {
-    let mut cur = Cursor { s: line.as_bytes(), pos: 0 };
     let mut rec = EpochRecord::default();
-    cur.skip_ws();
-    cur.eat(b'{')?;
-    cur.skip_ws();
-    if cur.peek() == Some(b'}') {
-        cur.pos += 1;
-    } else {
-        loop {
-            let key = cur.parse_key()?;
-            cur.skip_ws();
-            cur.eat(b':')?;
-            cur.skip_ws();
-            match key {
-                "epoch" => rec.epoch = cur.parse_u64()?,
-                "cycle" => rec.cycle = cur.parse_u64()?,
-                "m" => rec.m = cur.parse_u64()?,
-                "dm" => rec.dm = cur.parse_u64()?,
-                "e" => rec.e = cur.parse_u64()?,
-                "rate_up" => rec.rate_up = cur.parse_bool()?,
-                "delta_up" => rec.delta_up = cur.parse_bool()?,
-                "sat" => rec.sat = cur.parse_bool()?,
-                "mechanism_hash" => rec.mechanism_hash = cur.parse_u64()?,
-                "class_bytes" => rec.class_bytes = cur.parse_u64_array()?,
-                "tile_throttles" => rec.tile_throttles = cur.parse_u64_array()?,
-                "mc_read_depth" => rec.mc_read_depth = cur.parse_u64_array()?,
-                "mc_write_depth" => rec.mc_write_depth = cur.parse_u64_array()?,
-                "mc_pending" => rec.mc_pending = cur.parse_u64_array()?,
-                other => {
-                    return Err(TraceParseError {
-                        offset: cur.pos,
-                        message: format!("unknown key {other:?}"),
-                    })
-                }
-            }
-            cur.skip_ws();
-            match cur.bump() {
-                Some(b',') => cur.skip_ws(),
-                Some(b'}') => break,
-                _ => return Err(cur.err("expected ',' or '}'")),
-            }
+    jsonl::parse_object(line, |key, cur| {
+        match key {
+            "epoch" => rec.epoch = cur.parse_u64()?,
+            "cycle" => rec.cycle = cur.parse_u64()?,
+            "m" => rec.m = cur.parse_u64()?,
+            "dm" => rec.dm = cur.parse_u64()?,
+            "e" => rec.e = cur.parse_u64()?,
+            "rate_up" => rec.rate_up = cur.parse_bool()?,
+            "delta_up" => rec.delta_up = cur.parse_bool()?,
+            "sat" => rec.sat = cur.parse_bool()?,
+            "mechanism_hash" => rec.mechanism_hash = cur.parse_u64()?,
+            "class_bytes" => rec.class_bytes = cur.parse_u64_array()?,
+            "tile_throttles" => rec.tile_throttles = cur.parse_u64_array()?,
+            "mc_read_depth" => rec.mc_read_depth = cur.parse_u64_array()?,
+            "mc_write_depth" => rec.mc_write_depth = cur.parse_u64_array()?,
+            "mc_pending" => rec.mc_pending = cur.parse_u64_array()?,
+            other => return Err(cur.err(&format!("unknown key {other:?}"))),
         }
-    }
-    cur.skip_ws();
-    if cur.pos != cur.s.len() {
-        return Err(cur.err("trailing bytes after record"));
-    }
+        Ok(())
+    })
+    .map_err(|e| TraceParseError { offset: e.offset, message: e.message })?;
     Ok(rec)
-}
-
-/// Byte cursor over one trace line.
-struct Cursor<'a> {
-    s: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn err(&self, message: &str) -> TraceParseError {
-        TraceParseError { offset: self.pos, message: message.into() }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, want: u8) -> Result<(), TraceParseError> {
-        if self.peek() == Some(want) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", char::from(want))))
-        }
-    }
-
-    /// A double-quoted key. Keys are ASCII identifiers; escapes are not
-    /// part of the grammar.
-    fn parse_key(&mut self) -> Result<&'a str, TraceParseError> {
-        self.eat(b'"')?;
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b == b'"' {
-                let key = &self.s[start..self.pos];
-                self.pos += 1;
-                return std::str::from_utf8(key).map_err(|_| TraceParseError {
-                    offset: start,
-                    message: "key is not UTF-8".into(),
-                });
-            }
-            if b == b'\\' {
-                return Err(self.err("escapes are not part of the trace grammar"));
-            }
-            self.pos += 1;
-        }
-        Err(self.err("unterminated key"))
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, TraceParseError> {
-        let start = self.pos;
-        let mut v: u64 = 0;
-        let mut any = false;
-        while let Some(b @ b'0'..=b'9') = self.peek() {
-            let digit = u64::from(b - b'0');
-            v = v.checked_mul(10).and_then(|v| v.checked_add(digit)).ok_or_else(|| {
-                TraceParseError { offset: start, message: "integer overflows u64".into() }
-            })?;
-            self.pos += 1;
-            any = true;
-        }
-        if any {
-            Ok(v)
-        } else {
-            Err(self.err("expected an unsigned integer"))
-        }
-    }
-
-    fn parse_bool(&mut self) -> Result<bool, TraceParseError> {
-        for (lit, val) in [(&b"true"[..], true), (&b"false"[..], false)] {
-            if self.s[self.pos..].starts_with(lit) {
-                self.pos += lit.len();
-                return Ok(val);
-            }
-        }
-        Err(self.err("expected 'true' or 'false'"))
-    }
-
-    fn parse_u64_array(&mut self) -> Result<Vec<u64>, TraceParseError> {
-        self.eat(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            self.skip_ws();
-            out.push(self.parse_u64()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(out),
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
 }
 
 /// A consumer of epoch records.

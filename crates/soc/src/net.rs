@@ -1,9 +1,5 @@
-//! The on-chip interconnect as a modelled component.
-//!
-//! Before the topology refactor the network was two fixed-latency
-//! [`pabst_simkit::queue::DelayQueue`]s (`l3_lat`, `resp_lat`) plus an
-//! inline per-MC staging stage in `System::step`. This module folds all
-//! three into one component driven by [`Topology`]:
+//! The on-chip interconnect as a modelled component, driven by
+//! [`Topology`]:
 //!
 //! * **request network** — tile → L3, per-tile delay derived from mesh
 //!   distance (or the uniform `l3_lat` under [`NetModel::Uniform`]);
@@ -13,10 +9,10 @@
 //!   (per-source-fair arbitration) with an optional per-cycle admission
 //!   bound (`mc_link_bw`).
 //!
-//! Under the uniform defaults every delay table collapses to the legacy
-//! constants and the staging delay to zero, so the committed goldens stay
-//! byte-identical. [`Interconnect::next_event`] feeds the system's
-//! horizon min-combine, keeping cycle skipping sound across the refactor.
+//! Under the uniform defaults every delay table collapses to the fixed
+//! `l3_lat` / `resp_lat` constants and the staging delay to zero.
+//! [`Interconnect::next_event`] feeds the system's horizon min-combine,
+//! keeping cycle skipping sound.
 
 use std::collections::VecDeque;
 

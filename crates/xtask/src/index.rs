@@ -29,31 +29,8 @@ pub enum SinkClass {
     Float,
 }
 
-impl SinkClass {
-    /// Stable name used in cache serialization and diagnostics.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SinkClass::Clock => "clock",
-            SinkClass::Entropy => "entropy",
-            SinkClass::HashIter => "hash-iter",
-            SinkClass::Float => "float",
-        }
-    }
-
-    /// Inverse of [`SinkClass::as_str`].
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "clock" => Some(SinkClass::Clock),
-            "entropy" => Some(SinkClass::Entropy),
-            "hash-iter" => Some(SinkClass::HashIter),
-            "float" => Some(SinkClass::Float),
-            _ => None,
-        }
-    }
-}
-
 /// One determinism sink inside a function body or signature.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Sink {
     /// What kind of nondeterminism this token introduces.
     pub class: SinkClass,
@@ -64,7 +41,7 @@ pub struct Sink {
 }
 
 /// One indexed function.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FnInfo {
     /// Function name.
     pub name: String,
@@ -103,7 +80,7 @@ impl FnInfo {
 }
 
 /// One `struct`/`enum`/`union` definition.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TypeDef {
     /// Type name.
     pub name: String,
@@ -112,7 +89,7 @@ pub struct TypeDef {
 }
 
 /// The full index of one source file.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FileIndex {
     /// Short crate name (directory under `crates/`).
     pub crate_name: String,

@@ -1,22 +1,16 @@
-//! A minimal JSON value, writer and parser — enough for the machine-readable
-//! lint report (`--format json` / `--report`) and the content-hash lint
-//! cache. Hand-rolled because the workspace builds offline: no `serde`.
+//! A minimal JSON value and pretty writer — enough for the machine-readable
+//! lint report (`--format json` / `--report`). Hand-rolled because the
+//! workspace builds offline: no `serde`.
 //!
-//! Numbers are restricted to `i64`: every quantity simlint serializes
-//! (lines, counts, hashes split into two 32-bit halves) fits, and integer
-//! round-tripping is exact — which is the whole point of a cache keyed on
-//! byte equality.
+//! Numbers are restricted to `i64`: every quantity the report carries
+//! (line numbers, the diagnostic count) is an integer.
 
 use std::fmt::Write as _;
 
 /// A JSON value. Objects preserve insertion order (serialization must be
 /// byte-stable for the snapshot test).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
     /// An integer (see module docs for why floats are excluded).
     Num(i64),
     /// A string.
@@ -28,66 +22,17 @@ pub enum Json {
 }
 
 impl Json {
-    /// Member lookup on objects; `None` otherwise.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The integer payload, if this is a number.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The element list, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Compact single-line serialization.
-    pub fn to_compact(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
-    }
-
     /// Pretty serialization with 2-space indentation and a trailing newline
     /// (the `--format json` / snapshot format).
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        self.write(&mut out, 0);
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, level: usize) {
+    fn write(&self, out: &mut String, level: usize) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => {
                 let _ = write!(out, "{n}");
             }
@@ -102,10 +47,10 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    newline_indent(out, indent, level + 1);
-                    item.write(out, indent, level + 1);
+                    newline_indent(out, level + 1);
+                    item.write(out, level + 1);
                 }
-                newline_indent(out, indent, level);
+                newline_indent(out, level);
                 out.push(']');
             }
             Json::Obj(pairs) => {
@@ -118,27 +63,22 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    newline_indent(out, indent, level + 1);
+                    newline_indent(out, level + 1);
                     write_escaped(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, level + 1);
+                    out.push_str(": ");
+                    v.write(out, level + 1);
                 }
-                newline_indent(out, indent, level);
+                newline_indent(out, level);
                 out.push('}');
             }
         }
     }
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * level {
-            out.push(' ');
-        }
+fn newline_indent(out: &mut String, level: usize) {
+    out.push('\n');
+    for _ in 0..2 * level {
+        out.push(' ');
     }
 }
 
@@ -160,182 +100,44 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Parses a JSON document. Returns `None` on any syntax error — callers
-/// (the cache loader, the round-trip test) treat that as "no data".
-pub fn parse(text: &str) -> Option<Json> {
-    let chars: Vec<char> = text.chars().collect();
-    let mut pos = 0usize;
-    let v = parse_value(&chars, &mut pos)?;
-    skip_ws(&chars, &mut pos);
-    if pos == chars.len() {
-        Some(v)
-    } else {
-        None
-    }
-}
-
-fn skip_ws(chars: &[char], pos: &mut usize) {
-    while *pos < chars.len() && chars[*pos].is_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn parse_value(chars: &[char], pos: &mut usize) -> Option<Json> {
-    skip_ws(chars, pos);
-    match chars.get(*pos)? {
-        '{' => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(chars, pos);
-            if chars.get(*pos) == Some(&'}') {
-                *pos += 1;
-                return Some(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(chars, pos);
-                let key = parse_string(chars, pos)?;
-                skip_ws(chars, pos);
-                if chars.get(*pos) != Some(&':') {
-                    return None;
-                }
-                *pos += 1;
-                let val = parse_value(chars, pos)?;
-                pairs.push((key, val));
-                skip_ws(chars, pos);
-                match chars.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some('}') => {
-                        *pos += 1;
-                        return Some(Json::Obj(pairs));
-                    }
-                    _ => return None,
-                }
-            }
-        }
-        '[' => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(chars, pos);
-            if chars.get(*pos) == Some(&']') {
-                *pos += 1;
-                return Some(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(chars, pos)?);
-                skip_ws(chars, pos);
-                match chars.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some(']') => {
-                        *pos += 1;
-                        return Some(Json::Arr(items));
-                    }
-                    _ => return None,
-                }
-            }
-        }
-        '"' => Some(Json::Str(parse_string(chars, pos)?)),
-        't' => parse_lit(chars, pos, "true", Json::Bool(true)),
-        'f' => parse_lit(chars, pos, "false", Json::Bool(false)),
-        'n' => parse_lit(chars, pos, "null", Json::Null),
-        c if *c == '-' || c.is_ascii_digit() => {
-            let start = *pos;
-            if chars[*pos] == '-' {
-                *pos += 1;
-            }
-            while *pos < chars.len() && chars[*pos].is_ascii_digit() {
-                *pos += 1;
-            }
-            let s: String = chars[start..*pos].iter().collect();
-            s.parse::<i64>().ok().map(Json::Num)
-        }
-        _ => None,
-    }
-}
-
-fn parse_lit(chars: &[char], pos: &mut usize, lit: &str, v: Json) -> Option<Json> {
-    let end = *pos + lit.len();
-    if end <= chars.len() && chars[*pos..end].iter().collect::<String>() == lit {
-        *pos = end;
-        Some(v)
-    } else {
-        None
-    }
-}
-
-fn parse_string(chars: &[char], pos: &mut usize) -> Option<String> {
-    if chars.get(*pos) != Some(&'"') {
-        return None;
-    }
-    *pos += 1;
-    let mut out = String::new();
-    while *pos < chars.len() {
-        let c = chars[*pos];
-        *pos += 1;
-        match c {
-            '"' => return Some(out),
-            '\\' => {
-                let e = chars.get(*pos)?;
-                *pos += 1;
-                match e {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'b' => out.push('\u{0008}'),
-                    'f' => out.push('\u{000c}'),
-                    'u' => {
-                        let end = *pos + 4;
-                        if end > chars.len() {
-                            return None;
-                        }
-                        let hex: String = chars[*pos..end].iter().collect();
-                        *pos = end;
-                        let code = u32::from_str_radix(&hex, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                    }
-                    _ => return None,
-                }
-            }
-            c => out.push(c),
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn round_trips_nested_values() {
+    fn pretty_prints_nested_values() {
         let v = Json::Obj(vec![
             ("schema".into(), Json::Str("simlint-report-v1".into())),
             ("count".into(), Json::Num(2)),
-            ("ok".into(), Json::Bool(true)),
             (
                 "items".into(),
-                Json::Arr(vec![Json::Num(-7), Json::Null, Json::Str("a\"b\n".into())]),
+                Json::Arr(vec![
+                    Json::Num(-7),
+                    Json::Str("a\"b\n".into()),
+                    Json::Str("c:\\x\r\t\u{1}é".into()),
+                    Json::Obj(vec![("k\"".into(), Json::Arr(vec![Json::Num(0)]))]),
+                ]),
             ),
             ("empty".into(), Json::Arr(vec![])),
+            ("none".into(), Json::Obj(vec![])),
         ]);
-        assert_eq!(parse(&v.to_compact()), Some(v.clone()));
-        assert_eq!(parse(&v.to_pretty()), Some(v));
+        let expected = r#"{
+  "schema": "simlint-report-v1",
+  "count": 2,
+  "items": [
+    -7,
+    "a\"b\n",
+    "c:\\x\r\t\u0001é",
+    {
+      "k\"": [
+        0
+      ]
     }
-
-    #[test]
-    fn rejects_trailing_garbage_and_bad_syntax() {
-        assert_eq!(parse("{\"a\": 1} x"), None);
-        assert_eq!(parse("{\"a\" 1}"), None);
-        assert_eq!(parse("[1,]"), None);
-    }
-
-    #[test]
-    fn object_lookup_and_accessors() {
-        let v = parse("{\"file\": \"a.rs\", \"line\": 3}").unwrap();
-        assert_eq!(v.get("file").and_then(Json::as_str), Some("a.rs"));
-        assert_eq!(v.get("line").and_then(Json::as_i64), Some(3));
-        assert_eq!(v.get("missing"), None);
+  ],
+  "empty": [],
+  "none": {}
+}
+"#;
+        assert_eq!(v.to_pretty(), expected);
     }
 }

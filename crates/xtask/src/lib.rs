@@ -43,7 +43,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod graph;
 pub mod index;
 pub mod json;
@@ -195,12 +194,6 @@ pub fn lint_files(files: &[SourceFile]) -> Vec<Diagnostic> {
         indexes.push(idx);
         passes.push(pass);
     }
-    finish(indexes, passes)
-}
-
-/// Cross pass + hygiene + final sort, shared by the cached and uncached
-/// workspace entry points.
-fn finish(indexes: Vec<index::FileIndex>, mut passes: Vec<rules::FilePass>) -> Vec<Diagnostic> {
     rules::cross_pass(&indexes, &mut passes);
     let mut diags = Vec::new();
     for (idx, pass) in indexes.iter().zip(passes.iter_mut()) {
@@ -212,7 +205,7 @@ fn finish(indexes: Vec<index::FileIndex>, mut passes: Vec<rules::FilePass>) -> V
 }
 
 /// Collects and lints every Rust source file in the workspace rooted at
-/// `root`, running the full pipeline (no cache). Fixture files under
+/// `root`, running the full pipeline ([`lint_files`]). Fixture files under
 /// `tests/fixtures/` are skipped — they exist to violate the rules on
 /// purpose.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
@@ -222,43 +215,6 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
         sources.push(SourceFile { crate_name, rel_path, is_test, source });
     }
     Ok(lint_files(&sources))
-}
-
-/// Like [`lint_workspace`], but skips the per-file pass for files whose
-/// content hash matches `cache_path` (see [`cache`]). The cross pass always
-/// runs fresh. The cache file is rewritten on every run.
-pub fn lint_workspace_cached(root: &Path, cache_path: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    let old = cache::Cache::load(cache_path);
-    let mut new = cache::Cache::default();
-    let mut indexes = Vec::new();
-    let mut passes = Vec::new();
-    for (crate_name, rel_path, is_test) in workspace_files(root)? {
-        let source = std::fs::read_to_string(root.join(&rel_path))?;
-        let hash = cache::fnv1a(source.as_bytes());
-        let (idx, pass) = match old.get(&rel_path, hash) {
-            Some(e) => cache::entry_to_pass(e),
-            None => {
-                let spec = FileSpec { crate_name: &crate_name, rel_path: &rel_path, is_test };
-                let lx = lexer::lex(&source);
-                let idx = index::index_file(&crate_name, &rel_path, is_test, &source, &lx);
-                let pass = rules::file_pass(&spec, &lx, &idx);
-                (idx, pass)
-            }
-        };
-        new.entries.insert(
-            rel_path,
-            cache::Entry {
-                hash,
-                index: idx.clone(),
-                diags: pass.diags.clone(),
-                sups: pass.sups.clone(),
-            },
-        );
-        indexes.push(idx);
-        passes.push(pass);
-    }
-    new.save(cache_path);
-    Ok(finish(indexes, passes))
 }
 
 /// The machine-readable report (`--format json` / `--report`). The shape is
@@ -388,6 +344,9 @@ mod tests {
         let diags = lint_source(&spec("simkit", "crates/simkit/src/trace.rs"), src);
         assert_eq!(rules(&diags), [RULE_FLOAT_MATH, RULE_FLOAT_MATH]);
         assert!(diags[0].message.contains("trace serializer"), "{diags:?}");
+        // So is the line cursor the trace parser shares with fault plans.
+        let diags = lint_source(&spec("simkit", "crates/simkit/src/jsonl.rs"), src);
+        assert_eq!(rules(&diags), [RULE_FLOAT_MATH, RULE_FLOAT_MATH]);
         // Other simkit files (stats keeps f64 summaries) stay exempt.
         assert!(lint_source(&spec("simkit", "crates/simkit/src/stats.rs"), src)
             .iter()
@@ -585,18 +544,30 @@ mod tests {
     }
 
     #[test]
-    fn report_json_round_trips() {
+    fn report_json_pretty_text_is_exact() {
         let diags = vec![Diagnostic {
             file: "crates/core/src/x.rs".into(),
             line: 3,
             rule: RULE_HASH_MAP,
-            message: "m".into(),
+            message: "a\"b\n".into(),
         }];
-        let j = report_json(&diags);
-        let back = json::parse(&j.to_pretty()).expect("parse");
-        assert_eq!(back.get("schema").and_then(json::Json::as_str), Some("simlint-report-v1"));
-        assert_eq!(back.get("count").and_then(json::Json::as_i64), Some(1));
-        let items = back.get("diagnostics").and_then(json::Json::as_arr).unwrap();
-        assert_eq!(items[0].get("rule").and_then(json::Json::as_str), Some("hash-map"));
+        let expected = r#"{
+  "schema": "simlint-report-v1",
+  "count": 1,
+  "diagnostics": [
+    {
+      "file": "crates/core/src/x.rs",
+      "line": 3,
+      "rule": "hash-map",
+      "message": "a\"b\n"
+    }
+  ]
+}
+"#;
+        assert_eq!(report_json(&diags).to_pretty(), expected);
+        // A clean run still reports the schema, a zero count and an empty list.
+        let clean =
+            "{\n  \"schema\": \"simlint-report-v1\",\n  \"count\": 0,\n  \"diagnostics\": []\n}\n";
+        assert_eq!(report_json(&[]).to_pretty(), clean);
     }
 }

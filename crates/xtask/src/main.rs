@@ -2,12 +2,13 @@
 //!
 //! ```text
 //! cargo run -p xtask -- lint [--root <dir>] [--format text|json]
-//!                            [--filter <rule>] [--report <path>] [--no-cache]
+//!                            [--filter <rule>] [--report <path>]
 //! ```
 //!
 //! runs the `simlint` determinism & accounting pass over every workspace
-//! crate and exits non-zero when violations are found. See `docs/LINTS.md`
-//! for the rule catalogue and the JSON report schema.
+//! crate and exits non-zero when violations are found. Every run lints
+//! every file afresh and writes no file but the `--report` path. See
+//! `docs/LINTS.md` for the rule catalogue and the JSON report schema.
 
 #![forbid(unsafe_code)]
 
@@ -33,7 +34,7 @@ fn main() -> ExitCode {
 fn usage() {
     eprintln!(
         "usage: cargo run -p xtask -- lint [--root <workspace-dir>] \
-         [--format text|json] [--filter <rule>] [--report <path>] [--no-cache]"
+         [--format text|json] [--filter <rule>] [--report <path>]"
     );
 }
 
@@ -42,7 +43,6 @@ fn lint(args: &[String]) -> ExitCode {
     let mut format = "text".to_string();
     let mut filter: Option<&'static str> = None;
     let mut report: Option<PathBuf> = None;
-    let mut use_cache = true;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -87,7 +87,6 @@ fn lint(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--no-cache" => use_cache = false,
             other => {
                 eprintln!("xtask: unknown lint option `{other}`");
                 return ExitCode::from(2);
@@ -106,12 +105,7 @@ fn lint(args: &[String]) -> ExitCode {
         }
     });
 
-    let result = if use_cache {
-        xtask::lint_workspace_cached(&root, &root.join("target/simlint-cache.json"))
-    } else {
-        xtask::lint_workspace(&root)
-    };
-    let mut diags = match result {
+    let mut diags = match xtask::lint_workspace(&root) {
         Ok(diags) => diags,
         Err(e) => {
             eprintln!("simlint: i/o error: {e}");

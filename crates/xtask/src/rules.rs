@@ -29,8 +29,9 @@ const NONDET_EXEMPT_CRATES: [&str; 2] = ["bench", "xtask"];
 /// `pabst-core` files forming the integer regulation datapath.
 const FLOAT_FREE_FILES: [&str; 3] = ["pacer.rs", "arbiter.rs", "qos.rs"];
 /// `pabst-simkit` files under the same no-float rule: trace records must
-/// round-trip bit-exactly and identically on every platform.
-const FLOAT_FREE_SIMKIT_FILES: [&str; 1] = ["trace.rs"];
+/// round-trip bit-exactly and identically on every platform, through the
+/// serializer and the line cursor its parser shares with fault plans.
+const FLOAT_FREE_SIMKIT_FILES: [&str; 2] = ["trace.rs", "jsonl.rs"];
 /// Crates where `.unwrap()`/`.expect()` are banned outside tests.
 const PANIC_FREE_CRATES: [&str; 2] = ["core", "simkit"];
 /// The one file allowed to touch `std::thread`: the sweep executor whose
@@ -40,7 +41,7 @@ const THREAD_EXEMPT_FILES: [&str; 1] = ["crates/bench/src/harness.rs"];
 const RNG_CONFINED_CRATES: [&str; 5] = ["core", "cache", "cpu", "dram", "soc"];
 
 /// A parsed, valid `simlint: allow(...)` suppression.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Suppression {
     /// Canonical rule id (one of [`ALL_RULES`]).
     pub rule: &'static str,
@@ -56,7 +57,7 @@ pub struct Suppression {
 
 /// The per-file result of the token pass: diagnostics (already
 /// suppression-filtered) plus the suppression table with usage marks.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct FilePass {
     /// Diagnostics from file-scoped rules (cross-pass diags are appended
     /// by [`cross_pass`]).
