@@ -8,7 +8,10 @@
 //! most of its time here. Entries the port refuses move off that list to
 //! a *blocked list* until the port frees a resource (see [`Access::Stall`]),
 //! so a core whose stores wait on full MSHRs does not re-probe its caches
-//! every cycle.
+//! every cycle. A release offers the blocked entries again in program
+//! order only until the port vouches that it is full
+//! ([`MemPort::is_full`]), so it costs what it admits, not what is
+//! blocked.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -27,7 +30,9 @@ pub enum Access {
     /// No resource available (MSHR full): refused until the port next
     /// frees a resource, i.e. until [`MemPort::releases`] moves. The core
     /// does not offer the access again before then, so a port must not
-    /// refuse for a reason that clears without a release.
+    /// refuse for a reason that clears without a release. After a release
+    /// the core offers it again unless the port vouches that it is full
+    /// ([`MemPort::is_full`]) and has not granted its line since.
     Stall,
 }
 
@@ -48,6 +53,22 @@ pub trait MemPort {
     /// stepping a core while the count stands still, so it must make
     /// every move of the count a wake edge for that core.
     fn releases(&self) -> u64;
+
+    /// Whether the port vouches that it is full. `true` promises, until
+    /// [`MemPort::releases`] next moves, that the answer stays `true` and
+    /// that the port refuses every access to a line it has refused
+    /// ([`Access::Stall`]), unless it has granted ([`Access::Miss`]) an
+    /// access to that line since the refusal. So a line may enter the
+    /// port's caches only through a grant.
+    ///
+    /// A core uses it on a release: once the port vouches, the refused
+    /// entries not yet offered go back to waiting without being offered,
+    /// except those whose line was granted since. The default, `false`,
+    /// promises nothing, and every refused entry is offered again after
+    /// each release.
+    fn is_full(&self) -> bool {
+        false
+    }
 }
 
 /// Core structural parameters (paper Table III class of machine).
@@ -103,6 +124,16 @@ enum LoadState {
     Done(Cycle),
 }
 
+/// An entry the port refused, with the line and kind it was offered
+/// with, so that a release can return it to the blocked list without a
+/// ROB access.
+#[derive(Debug, Clone, Copy)]
+struct Blocked {
+    seq: u64,
+    line: LineAddr,
+    store: bool,
+}
+
 #[derive(Debug)]
 enum Entry {
     /// Aggregated ALU work: `left` instructions still to retire.
@@ -147,17 +178,26 @@ pub struct OooCore {
     /// the per-cycle filter does not allocate (the simulator spends most
     /// of its time here).
     attention_scratch: Vec<u64>,
-    /// Unissued stores currently on the attention list. Stores are the
+    /// Unissued stores currently on the attention list, and during an
+    /// issue stage among its unvisited candidates too. Stores are the
     /// only entries that can issue while `outstanding` is at its bound, so
     /// this lets the issue stage stop scanning the moment neither loads
     /// nor stores can make progress.
     attention_stores: usize,
-    /// Entry seqs the port refused, off the attention list until
+    /// Entries the port refused, off the attention list until
     /// [`MemPort::releases`] moves. Each run of refusals is in sequence
     /// order; runs from different cycles may interleave.
-    blocked: Vec<u64>,
+    blocked: Vec<Blocked>,
     /// Unissued stores on the blocked list.
     blocked_stores: usize,
+    /// Recycled storage for the blocked entries a release turns into
+    /// candidates of the issue stage.
+    candidates: Vec<Blocked>,
+    /// Lines the port granted ([`Access::Miss`]) in the current issue
+    /// stage, logged only while it has candidates: a candidate on one of
+    /// these lines may now merge or hit, so it is offered even once the
+    /// port vouches that it is full.
+    granted: Vec<LineAddr>,
     /// The port's release count at the last issue stage: every blocked
     /// entry was refused at this count.
     seen_releases: u64,
@@ -187,6 +227,8 @@ impl OooCore {
             attention_stores: 0,
             blocked: Vec::new(),
             blocked_stores: 0,
+            candidates: Vec::new(),
+            granted: Vec::new(),
             seen_releases: 0,
             outstanding: 0,
             stats: CoreStats::default(),
@@ -434,20 +476,49 @@ impl OooCore {
         }
     }
 
+    /// Offers the attention list to the port in program order, at most
+    /// two acceptances per cycle. When the release count has moved, the
+    /// blocked entries join the walk as *candidates*, merged in by
+    /// sequence number. Each is offered as any other entry until the port
+    /// vouches that it is full ([`MemPort::is_full`]). From then on a
+    /// candidate whose line was not granted in this walk is refused
+    /// without asking the port: the port promised that answer, and a
+    /// refusal changes nothing else. Entries the walk does not reach stay
+    /// on the attention list, except candidates the port has vouched it
+    /// would refuse, which go straight back to where their refusal would
+    /// send them.
     fn issue(&mut self, now: Cycle, port: &mut dyn MemPort) {
         let releases = port.releases();
-        if releases != self.seen_releases {
-            self.seen_releases = releases;
-            self.unblock();
+        if releases != self.seen_releases && !self.blocked.is_empty() {
+            std::mem::swap(&mut self.candidates, &mut self.blocked);
+            self.candidates.sort_unstable_by_key(|b| b.seq);
+            self.attention_stores += self.blocked_stores;
+            self.blocked_stores = 0;
+            self.granted.clear();
         }
-        if self.attention.is_empty() {
+        self.seen_releases = releases;
+        if self.attention.is_empty() && self.candidates.is_empty() {
             return;
         }
+        let mut candidates = std::mem::take(&mut self.candidates);
         let mut issued_this_cycle = 0u32;
+        // Whether the port has vouched that it is full; it stays full for
+        // the rest of the stage.
+        let mut full = false;
         let mut kept = std::mem::take(&mut self.attention_scratch);
         kept.clear();
         let attention = std::mem::take(&mut self.attention);
-        for (pos, &seq) in attention.iter().enumerate() {
+        let (mut a, mut c) = (0, 0);
+        loop {
+            let candidate = candidates
+                .get(c)
+                .copied()
+                .filter(|b| attention.get(a).is_none_or(|&seq| b.seq < seq));
+            let seq = match (candidate, attention.get(a)) {
+                (Some(b), _) => b.seq,
+                (None, Some(&seq)) => seq,
+                (None, None) => break,
+            };
             if issued_this_cycle >= 2
                 || (self.outstanding >= self.cfg.max_outstanding && self.attention_stores == 0)
             {
@@ -456,9 +527,20 @@ impl OooCore {
                 // store is blocked. Nothing in the tail can change
                 // observable state (a resolvable WaitDep is
                 // indistinguishable from Ready until it can issue), so
-                // keep it wholesale.
-                kept.extend_from_slice(&attention[pos..]);
+                // keep it, bar the candidates the port would refuse.
+                full = full || (c < candidates.len() && port.is_full());
+                self.keep_tail(&attention[a..], &candidates[c..], full, &mut kept);
                 break;
+            }
+            if let Some(b) = candidate {
+                c += 1;
+                full = full || port.is_full();
+                if self.vouched_refused(b, full) {
+                    self.requeue(b, &mut kept);
+                    continue;
+                }
+            } else {
+                a += 1;
             }
             let Some(idx) = seq.checked_sub(self.head_seq) else { continue };
             let Some(entry) = self.rob.get_mut(idx as usize) else { continue };
@@ -510,8 +592,11 @@ impl OooCore {
                                 self.outstanding += 1;
                                 self.stats.loads += 1;
                                 issued_this_cycle += 1;
+                                if !candidates.is_empty() {
+                                    self.granted.push(line);
+                                }
                             }
-                            Access::Stall => self.blocked.push(seq),
+                            Access::Stall => self.blocked.push(Blocked { seq, line, store: false }),
                         }
                     } else {
                         kept.push(seq);
@@ -519,8 +604,9 @@ impl OooCore {
                 }
                 Entry::Store { line, issued } => {
                     debug_assert!(!*issued, "issued stores leave the attention list");
+                    let line = *line;
                     if issued_this_cycle < 2 {
-                        match port.access(now, *line, true, LoadId(u64::MAX)) {
+                        match port.access(now, line, true, LoadId(u64::MAX)) {
                             Access::Hit(_) | Access::Miss => {
                                 // Store-buffer semantics: retire on issue;
                                 // the hierarchy's MSHRs bound the fill.
@@ -528,9 +614,12 @@ impl OooCore {
                                 self.stats.stores += 1;
                                 self.attention_stores -= 1;
                                 issued_this_cycle += 1;
+                                if !candidates.is_empty() {
+                                    self.granted.push(line);
+                                }
                             }
                             Access::Stall => {
-                                self.blocked.push(seq);
+                                self.blocked.push(Blocked { seq, line, store: true });
                                 self.attention_stores -= 1;
                                 self.blocked_stores += 1;
                             }
@@ -543,24 +632,58 @@ impl OooCore {
             }
         }
         self.attention = kept;
-        // Recycle the drained list's capacity for the next cycle's `kept`.
+        // Recycle the drained lists' capacity for the next cycle.
         let mut drained = attention;
         drained.clear();
         self.attention_scratch = drained;
+        candidates.clear();
+        self.candidates = candidates;
     }
 
-    /// Returns every blocked entry to the attention list, restoring
-    /// sequence order. The attention list is sorted and the blocked list
-    /// is a few sorted runs, which the stable sort merges rather than
-    /// re-sorting.
-    fn unblock(&mut self) {
-        if self.blocked.is_empty() {
+    /// True when the port has vouched that it is full and `b`'s line was
+    /// not granted in this issue stage, so the port would refuse it.
+    fn vouched_refused(&self, b: Blocked, full: bool) -> bool {
+        full && !self.granted.contains(&b.line)
+    }
+
+    /// Sends a candidate the port would refuse where that refusal would
+    /// send it: back to the blocked list, or, for a load at the MLP bound,
+    /// which is not offered at all, to the attention list.
+    fn requeue(&mut self, b: Blocked, kept: &mut Vec<u64>) {
+        if !b.store && self.outstanding >= self.cfg.max_outstanding {
+            kept.push(b.seq);
             return;
         }
-        self.attention.append(&mut self.blocked);
-        self.attention.sort();
-        self.attention_stores += self.blocked_stores;
-        self.blocked_stores = 0;
+        if b.store {
+            self.attention_stores -= 1;
+            self.blocked_stores += 1;
+        }
+        self.blocked.push(b);
+    }
+
+    /// Keeps the entries an issue stage did not reach on the attention
+    /// list, in sequence order. A candidate among them that the port
+    /// would refuse is requeued instead: kept, it would only be refused
+    /// on a later step, which changes nothing else.
+    fn keep_tail(
+        &mut self,
+        attention: &[u64],
+        candidates: &[Blocked],
+        full: bool,
+        kept: &mut Vec<u64>,
+    ) {
+        let mut a = 0;
+        for &b in candidates {
+            let before = attention[a..].partition_point(|&seq| seq < b.seq);
+            kept.extend_from_slice(&attention[a..a + before]);
+            a += before;
+            if self.vouched_refused(b, full) {
+                self.requeue(b, kept);
+            } else {
+                kept.push(b.seq);
+            }
+        }
+        kept.extend_from_slice(&attention[a..]);
     }
 
     fn dispatch(&mut self, _now: Cycle, workload: &mut dyn Workload) {
@@ -650,6 +773,7 @@ mod tests {
     /// An L2-like port: lines in `hits` hit with latency 1; any other
     /// line takes one of `cap` MSHR entries (merging into an entry its
     /// line already holds) or is refused. Every offered access is logged.
+    /// With `vouch` it says when it is full ([`MemPort::is_full`]).
     #[derive(Default)]
     struct Mshrs {
         cap: usize,
@@ -657,6 +781,7 @@ mod tests {
         hits: Vec<LineAddr>,
         releases: u64,
         offered: Vec<(Cycle, LineAddr, bool)>,
+        vouch: bool,
     }
     impl Mshrs {
         fn new(cap: usize, hits: &[u64], inflight: &[u64]) -> Self {
@@ -664,12 +789,15 @@ mod tests {
                 cap,
                 hits: hits.iter().map(|&l| LineAddr::new(l)).collect(),
                 inflight: inflight.iter().map(|&l| LineAddr::new(l)).collect(),
+                vouch: true,
                 ..Self::default()
             }
         }
-        /// Completes the entry for `line`, as a fill would.
+        /// Completes the entry for `line` and installs the line, as a
+        /// fill would.
         fn release(&mut self, line: u64) {
             self.inflight.retain(|&l| l != LineAddr::new(line));
+            self.hits.push(LineAddr::new(line));
             self.releases += 1;
         }
         /// Lines offered at `now`.
@@ -693,6 +821,9 @@ mod tests {
         }
         fn releases(&self) -> u64 {
             self.releases
+        }
+        fn is_full(&self) -> bool {
+            self.vouch && self.inflight.len() >= self.cap
         }
     }
 
@@ -985,26 +1116,115 @@ mod tests {
     #[test]
     fn refused_entries_wait_for_a_release() {
         // One MSHR, held by line 99: every store is refused.
+        for vouch in [false, true] {
+            let mut core = OooCore::new(CoreConfig::default());
+            let mut mem = Mshrs { vouch, ..Mshrs::new(1, &[], &[99]) };
+            let mut wl = Script::new((10..30).map(store).collect());
+            for now in 0..20 {
+                core.step(now, &mut wl, &mut mem);
+            }
+            let mut lines: Vec<u64> = mem.offered.iter().map(|o| o.1.get()).collect();
+            let offered = lines.len();
+            lines.dedup();
+            assert_eq!(lines.len(), offered, "no line is offered twice without a release");
+            assert!(offered >= 8, "every dispatched store is offered once, got {offered}");
+            assert_eq!(core.stats().stores, 0);
+            assert_eq!(core.next_event(20), Some(20), "a blocked store keeps the core stepping");
+            // Free the entry: the oldest blocked store takes it. A port
+            // that does not vouch is offered the rest again, in program
+            // order; one that vouches it is full is offered nothing more.
+            mem.release(99);
+            core.step(20, &mut wl, &mut mem);
+            let retried: Vec<u64> = mem.offered_at(20).iter().map(|o| o.0).collect();
+            let expect = if vouch { 10..11 } else { 10..10 + offered as u64 };
+            assert_eq!(retried, expect.collect::<Vec<_>>(), "vouch {vouch}");
+            assert_eq!(core.stats().stores, 1);
+            assert_eq!(core.blocked.len(), offered - 1);
+            // The next release admits the next store in program order.
+            core.step(21, &mut wl, &mut mem);
+            assert!(mem.offered_at(21).is_empty(), "nothing is offered without a release");
+            mem.release(10);
+            core.step(22, &mut wl, &mut mem);
+            assert_eq!(mem.offered_at(22)[0], (11, true), "vouch {vouch}");
+            assert_eq!(core.stats().stores, 2);
+        }
+    }
+
+    #[test]
+    fn a_store_granted_its_line_since_the_refusal_is_offered_again() {
+        // Two MSHRs, held by lines 98 and 99: all five stores are refused.
         let mut core = OooCore::new(CoreConfig::default());
-        let mut mem = Mshrs::new(1, &[], &[99]);
-        let mut wl = Script::new((10..30).map(store).collect());
-        for now in 0..20 {
+        let mut mem = Mshrs::new(2, &[], &[98, 99]);
+        let mut wl = Script::new([10, 11, 10, 10, 12].into_iter().map(store).collect());
+        for now in 0..4 {
             core.step(now, &mut wl, &mut mem);
         }
-        let mut lines: Vec<u64> = mem.offered.iter().map(|o| o.1.get()).collect();
-        let offered = lines.len();
-        lines.dedup();
-        assert_eq!(lines.len(), offered, "no line is offered twice without a release");
-        assert!(offered >= 8, "every dispatched store is offered once, got {offered}");
-        assert_eq!(core.stats().stores, 0);
-        assert_eq!(core.next_event(20), Some(20), "a blocked store keeps the core stepping");
-        // Free the entry: the oldest blocked store takes it, the rest are
-        // refused again, in program order.
+        assert_eq!(core.blocked.len(), 5);
+        // The release lets store 10 take the entry, and the port is full.
+        // The second store to line 10 was granted its line since its
+        // refusal, so it is offered and merges; the store to line 11 is
+        // not offered. The issue width is then spent: the third store to
+        // line 10 stays on the attention list, and line 12 waits.
+        mem.release(98);
+        core.step(4, &mut wl, &mut mem);
+        assert_eq!(mem.offered_at(4), vec![(10, true), (10, true)]);
+        assert_eq!(core.stats().stores, 2);
+        assert_eq!(core.blocked.iter().map(|b| b.line.get()).collect::<Vec<_>>(), [11, 12]);
+        assert_eq!(core.attention, [3]);
+        // Line 10 fills before the next step: that release offers store
+        // 11, which takes the freed entry, then the kept store, which hits.
+        mem.release(10);
+        core.step(5, &mut wl, &mut mem);
+        assert_eq!(mem.offered_at(5), vec![(11, true), (10, true)]);
+        assert_eq!(mem.inflight, [LineAddr::new(99), LineAddr::new(11)], "store 10 hit");
+        assert_eq!(core.stats().stores, 4);
+        assert_eq!(core.blocked.iter().map(|b| b.line.get()).collect::<Vec<_>>(), [12]);
+    }
+
+    #[test]
+    fn an_mlp_bound_refused_load_returns_to_the_attention_list() {
+        // One load slot and one MSHR, held by line 99: both loads are
+        // refused below the MLP bound.
+        let cfg = CoreConfig { max_outstanding: 1, ..CoreConfig::default() };
+        let mut core = OooCore::new(cfg);
+        let mut mem = Mshrs::new(1, &[], &[99]);
+        let mut wl = Script::new(vec![load(10, 1, None), load(11, 2, None)]);
+        for now in 0..4 {
+            core.step(now, &mut wl, &mut mem);
+        }
+        assert_eq!(core.blocked.len(), 2);
+        // Load 10 takes the entry and the only slot. Load 11 would not be
+        // offered at the MLP bound, so it returns to the attention list.
         mem.release(99);
-        core.step(20, &mut wl, &mut mem);
-        let retried: Vec<u64> = mem.offered_at(20).iter().map(|o| o.0).collect();
-        assert_eq!(retried, (10..10 + offered as u64).collect::<Vec<_>>());
-        assert_eq!(core.stats().stores, 1);
+        core.step(4, &mut wl, &mut mem);
+        assert_eq!(mem.offered_at(4), vec![(10, false)]);
+        assert!(core.blocked.is_empty());
+        assert_eq!(core.attention, [1]);
+        // Load 10's fill frees the slot and the entry: load 11 issues.
+        mem.release(10);
+        core.on_fill(5, LoadId(1));
+        core.release_slot();
+        core.step(5, &mut wl, &mut mem);
+        assert_eq!(mem.offered_at(5), vec![(11, false)]);
+        assert_eq!(core.stats().loads, 2);
+    }
+
+    #[test]
+    fn two_fills_in_one_cycle_admit_two_entries() {
+        let mut core = OooCore::new(CoreConfig::default());
+        let mut mem = Mshrs::new(2, &[], &[98, 99]);
+        let mut wl = Script::new((10..20).map(store).collect());
+        for now in 0..4 {
+            core.step(now, &mut wl, &mut mem);
+        }
+        let refused = core.blocked.len();
+        mem.release(98);
+        mem.release(99);
+        core.step(4, &mut wl, &mut mem);
+        assert_eq!(mem.offered_at(4), vec![(10, true), (11, true)]);
+        assert_eq!(core.stats().stores, 2);
+        assert_eq!(core.blocked.len(), refused - 2, "the rest wait, unoffered");
+        assert_eq!(core.blocked_stores, refused - 2);
     }
 
     #[test]

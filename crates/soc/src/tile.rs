@@ -132,13 +132,18 @@ impl TileMem {
     /// This is the only call that moves [`MemPort::releases`], which
     /// [`Tile::core_next_event`] treats as a wake edge: the caller must
     /// make sure the tile is stepped (not parked) after it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `line` holds no MSHR entry. Every fill completes a
+    /// granted miss, so a line enters the caches only through a grant,
+    /// which is what [`MemPort::is_full`] promises the core.
     pub fn on_fill(&mut self, line: LineAddr) -> &[L2Waiter] {
         let mut waiters = std::mem::take(&mut self.fill_scratch);
         waiters.clear();
         self.mshrs.complete_into(line, &mut waiters);
-        if !waiters.is_empty() {
-            self.releases += 1;
-        }
+        assert!(!waiters.is_empty(), "fill of line {:#x} completes no MSHR entry", line.get());
+        self.releases += 1;
         let dirty = waiters.iter().any(|w| w.store);
         if let Some(ev) = self.l2.fill(line, self.class, dirty) {
             if ev.dirty {
@@ -301,6 +306,14 @@ impl MemPort for TileMem {
     fn releases(&self) -> u64 {
         self.releases
     }
+
+    /// Only a fill frees an MSHR entry, and it moves the release count. A
+    /// refused line missed L1, L2 and every entry, and it can enter any
+    /// of them only through a grant of that line (see
+    /// [`TileMem::on_fill`]).
+    fn is_full(&self) -> bool {
+        self.mshrs.is_full()
+    }
 }
 
 /// A full tile: the core plus its memory front end and workload.
@@ -399,9 +412,23 @@ mod tests {
     fn mshr_exhaustion_stalls() {
         let mut m = mem(Vec::new());
         for i in 0..4 {
+            assert!(!m.is_full());
             assert_eq!(m.access(0, line(i * 64), false, LoadId(i)), Access::Miss);
         }
+        assert!(m.is_full());
         assert_eq!(m.access(0, line(999), false, LoadId(9)), Access::Stall);
+        let _ = m.on_fill(line(64));
+        assert!(!m.is_full(), "a fill frees an entry");
+        assert_eq!(m.releases(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "completes no MSHR entry")]
+    fn a_fill_without_an_mshr_entry_panics() {
+        // The line would enter L2 and L1 without a grant, which breaks
+        // what `is_full` promises.
+        let mut m = mem(Vec::new());
+        let _ = m.on_fill(line(5));
     }
 
     #[test]
@@ -529,19 +556,21 @@ mod tests {
     }
 
     /// A [`TileMem`] port that logs accepted accesses. With
-    /// `retry_every_step` its release count moves on every call, so the
-    /// core retries each refused access on every step, as it did before
-    /// refusals waited for a release.
+    /// `retry_every_step` its release count moves on every call and it
+    /// never vouches that it is full, so the core offers every refused
+    /// access again on every step: the reference walk.
     struct Logged {
         mem: TileMem,
         retry_every_step: bool,
         calls: std::cell::Cell<u64>,
+        offered: u64,
         refused: u64,
         accepted: Vec<(Cycle, LineAddr, bool)>,
     }
 
     impl MemPort for Logged {
         fn access(&mut self, now: Cycle, line: LineAddr, store: bool, id: LoadId) -> Access {
+            self.offered += 1;
             let r = self.mem.access(now, line, store, id);
             match r {
                 Access::Stall => self.refused += 1,
@@ -557,6 +586,10 @@ mod tests {
             } else {
                 self.mem.releases()
             }
+        }
+
+        fn is_full(&self) -> bool {
+            !self.retry_every_step && self.mem.is_full()
         }
     }
 
@@ -605,8 +638,8 @@ mod tests {
 
     /// Drives one core against a tile with 2-4 MSHRs and a seeded pacer,
     /// returning each fill a seeded latency after injection. Returns the
-    /// outcome plus the refusals the core saw.
-    fn drive(seed: u64, retry_every_step: bool) -> (Outcome, u64) {
+    /// outcome plus the accesses the core offered and the refusals it saw.
+    fn drive(seed: u64, retry_every_step: bool) -> (Outcome, u64, u64) {
         let mut rng = pabst_simkit::rng::SimRng::seed_from_u64(seed);
         let mshrs = 2 + rng.gen_range(0..3) as usize;
         let lines = 16 + rng.gen_range(0..240);
@@ -627,6 +660,7 @@ mod tests {
             ),
             retry_every_step,
             calls: std::cell::Cell::new(0),
+            offered: 0,
             refused: 0,
             accepted: Vec::new(),
         };
@@ -659,27 +693,36 @@ mod tests {
             let held = (0..lines).filter(|&l| port.mem.mshrs.contains(line(l))).collect();
             queues.push((q, held));
         }
-        let refused = port.refused;
+        let (offered, refused) = (port.offered, port.refused);
         let stats = core.stats();
-        (Outcome { stats, accepted: port.accepted, queues, fills, writebacks }, refused)
+        (Outcome { stats, accepted: port.accepted, queues, fills, writebacks }, offered, refused)
     }
 
     #[test]
     fn waiting_for_a_release_matches_retrying_every_step() {
-        let (mut refused, mut retried) = (0, 0);
+        let (mut offered, mut refused) = (0, 0);
+        let (mut reoffered, mut retried) = (0, 0);
         for seed in 0..24u64 {
             let seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let (waits, r) = drive(seed, false);
-            let (retries, rr) = drive(seed, true);
+            let (waits, o, r) = drive(seed, false);
+            let (retries, ro, rr) = drive(seed, true);
             assert_eq!(waits, retries, "seed {seed:#x}");
             assert!(waits.stats.stores > 0 && waits.stats.loads > 0, "seed {seed:#x}");
+            offered += o;
             refused += r;
+            reoffered += ro;
             retried += rr;
         }
         assert!(refused > 0, "the mixes must run the MSHRs full");
         assert!(
             retried > 10 * refused,
             "retrying every step refuses far more: {retried} vs {refused}"
+        );
+        // The vouching arm offers ~85x less; waiting for a release alone
+        // (a port that never vouches) offers ~18x less.
+        assert!(
+            reoffered > 40 * offered,
+            "a port that vouches it is full is offered far less: {reoffered} vs {offered}"
         );
     }
 
