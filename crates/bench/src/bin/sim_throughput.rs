@@ -4,6 +4,10 @@
 //! the in-repo micro-benchmark harness, and a serial-vs-parallel sweep
 //! comparison through `harness::run_indexed` (the `all_figures` executor).
 //!
+//! Each profile's window, skip-on and naive alike, is timed `--repeats`
+//! times (default 5; `--quick` defaults to 1) on freshly built systems, and
+//! the fastest run is kept: host noise only ever adds time.
+//!
 //! Writes `BENCH_sim_throughput.json` (override with `--out <path>`) —
 //! the seed of the repo's perf trajectory; CI runs this in `--quick`
 //! (smoke) mode and uploads the artifact, and the committed file is the
@@ -125,9 +129,13 @@ struct TimedRun {
     mcs: u64,
 }
 
-/// Times `epochs` epochs of `name` in one skip mode.
-fn time_run(name: &str, epochs: u64, skip: bool) -> TimedRun {
-    time_run_capped(name, epochs, skip, None)
+/// The fastest of `repeats` timed windows of `epochs` epochs of `name` in
+/// one skip mode, each on a freshly built system.
+fn time_run(name: &str, epochs: u64, skip: bool, repeats: usize) -> TimedRun {
+    (0..repeats)
+        .map(|_| time_run_capped(name, epochs, skip, None))
+        .min_by_key(|r| r.elapsed_ns)
+        .expect("at least one repeat")
 }
 
 /// [`time_run`] with an optional probe-backoff cap override (the sweep).
@@ -155,10 +163,10 @@ fn time_run_capped(name: &str, epochs: u64, skip: bool, cap: Option<u64>) -> Tim
     }
 }
 
-fn profile(name: &'static str, epochs: u64) -> Profile {
+fn profile(name: &'static str, epochs: u64, repeats: usize) -> Profile {
     let epoch_cycles = build(name, true).metrics().bw_series.epoch_cycles();
-    let timed = time_run(name, epochs, true);
-    let naive = time_run(name, epochs, false);
+    let timed = time_run(name, epochs, true, repeats);
+    let naive = time_run(name, epochs, false, repeats);
     let cycles = epochs * epoch_cycles;
     let rate = timed.cycles_skipped as f64 / cycles as f64;
     let tile_rate = timed.tile_cycles_skipped as f64 / (cycles * timed.tiles) as f64;
@@ -235,9 +243,14 @@ fn profile_sweep(jobs: usize, runs: usize, epochs: usize) -> SweepProfile {
     SweepProfile { runs, jobs, serial_ns, parallel_ns }
 }
 
-fn to_json(profiles: &[Profile], backoff: &[BackoffPoint], sweep: &SweepProfile) -> String {
+fn to_json(
+    repeats: usize,
+    profiles: &[Profile],
+    backoff: &[BackoffPoint],
+    sweep: &SweepProfile,
+) -> String {
     use std::fmt::Write as _;
-    let mut s = String::from("{\"bench\":\"sim_throughput\",\"configs\":[");
+    let mut s = format!("{{\"bench\":\"sim_throughput\",\"repeats\":{repeats},\"configs\":[");
     for (i, p) in profiles.iter().enumerate() {
         if i > 0 {
             s.push(',');
@@ -287,16 +300,17 @@ fn main() {
     let args = CliArgs::parse();
     let quick = args.quick;
     let epochs = if quick { 2 } else { 10 };
-    println!("simulator throughput ({} mode)", if quick { "smoke" } else { "full" });
+    let repeats = args.repeats.unwrap_or(if quick { 1 } else { 5 });
+    println!(
+        "simulator throughput ({} mode, fastest of {repeats} per window)",
+        if quick { "smoke" } else { "full" }
+    );
 
-    let profiles = vec![
-        profile("small", epochs),
-        profile("baseline", epochs),
-        profile("mesh_64", epochs),
-        profile("mesh_256x16", epochs),
-        profile("chaser", epochs),
-        profile("write_stream", epochs),
-    ];
+    let profiles: Vec<Profile> =
+        ["small", "baseline", "mesh_64", "mesh_256x16", "chaser", "write_stream"]
+            .into_iter()
+            .map(|name| profile(name, epochs, repeats))
+            .collect();
 
     // Probe-backoff cap sweep — the evidence behind the builder default.
     let backoff = backoff_sweep(quick);
@@ -322,7 +336,7 @@ fn main() {
     let sweep = profile_sweep(sweep_jobs, sweep_runs, if quick { 2 } else { 6 });
 
     let out = args.out.unwrap_or_else(|| "BENCH_sim_throughput.json".to_string());
-    let json = to_json(&profiles, &backoff, &sweep);
+    let json = to_json(repeats, &profiles, &backoff, &sweep);
     match std::fs::write(&out, &json) {
         Ok(()) => println!("wrote {out}"),
         Err(e) => {

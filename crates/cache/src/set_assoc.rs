@@ -7,6 +7,12 @@
 //! convention: *lookups* see every way (so a line is still hit after a
 //! repartition), but *allocations* for a class may only victimize ways in
 //! the class's mask.
+//!
+//! Storage is set-major in three parallel arrays, 10 bytes per way: the
+//! tag, the way's recency rank within its set, and a dirty/owner byte.
+//! Exact LRU needs only each set's recency order, so no cache-wide clock
+//! is kept: a touch moves the way to rank 0 and ages the ways ranked
+//! before it, and the victim is the partition's highest-ranked way.
 
 use pabst_core::qos::{QosId, MAX_CLASSES};
 
@@ -94,21 +100,11 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    owner: QosId,
-    /// Last-touch stamp for LRU (global monotone counter).
-    lru: u64,
-}
+/// Dirty bit of a way's `meta` byte; the low bits hold the owner class.
+const DIRTY: u8 = 0x80;
 
-impl Way {
-    fn empty() -> Self {
-        Self { tag: 0, valid: false, dirty: false, owner: QosId::new(0), lru: 0 }
-    }
-}
+// The owner class must fit below the dirty bit.
+const _: () = assert!(MAX_CLASSES <= DIRTY as usize);
 
 /// A set-associative, write-back, write-allocate cache with LRU
 /// replacement and optional per-class way partitioning.
@@ -132,12 +128,17 @@ impl Way {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    /// All ways of all sets in one flat allocation (`sets * ways` long,
-    /// set-major): one indirection per lookup instead of two, and
-    /// adjacent ways share cache lines of the *host* machine.
-    ways: Vec<Way>,
+    /// Per way, set-major (`sets * ways` long, as are `rank` and `meta`):
+    /// the line's tag plus one, or 0 for an invalid way. A line number is
+    /// a byte address shifted right by 6, so the increment cannot overflow.
+    tags: Vec<u64>,
+    /// Per way, its recency rank within its set: 0 is the most recently
+    /// touched. The ranks of a set that has been filled are a permutation
+    /// of `0..ways`; a set never filled holds all zeros.
+    rank: Vec<u8>,
+    /// Per way, [`DIRTY`] or-ed with the owning class's index.
+    meta: Vec<u8>,
     masks: [WayMask; MAX_CLASSES],
-    tick: u64,
     hits: u64,
     misses: u64,
 }
@@ -147,24 +148,18 @@ impl SetAssocCache {
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(cfg.sets.is_power_of_two() && cfg.sets > 0, "sets must be a power of two");
         assert!(cfg.ways > 0 && cfg.ways <= 64, "ways must be in 1..=64");
+        // Zeroed allocations: a set stays out of the host's resident memory
+        // until its first fill.
+        let n = cfg.sets * cfg.ways;
         Self {
             cfg,
-            ways: vec![Way::empty(); cfg.sets * cfg.ways],
+            tags: vec![0; n],
+            rank: vec![0; n],
+            meta: vec![0; n],
             masks: [WayMask::all(cfg.ways); MAX_CLASSES],
-            tick: 0,
             hits: 0,
             misses: 0,
         }
-    }
-
-    /// The ways of the set holding `line`, as one contiguous slice.
-    fn set(&self, si: usize) -> &[Way] {
-        &self.ways[si * self.cfg.ways..(si + 1) * self.cfg.ways]
-    }
-
-    /// Mutable form of [`SetAssocCache::set`].
-    fn set_mut(&mut self, si: usize) -> &mut [Way] {
-        &mut self.ways[si * self.cfg.ways..(si + 1) * self.cfg.ways]
     }
 
     /// The cache geometry.
@@ -183,47 +178,60 @@ impl SetAssocCache {
         self.masks[class.index()] = WayMask(in_range);
     }
 
-    fn set_index(&self, line: LineAddr) -> usize {
-        (line.get() as usize) & (self.cfg.sets - 1)
+    /// The index of the first way of `line`'s set, and the line's stored
+    /// key (tag plus one).
+    fn locate(&self, line: LineAddr) -> (usize, u64) {
+        let si = (line.get() as usize) & (self.cfg.sets - 1);
+        (si * self.cfg.ways, (line.get() >> self.cfg.sets.trailing_zeros()) + 1)
     }
 
-    fn tag(&self, line: LineAddr) -> u64 {
-        line.get() >> self.cfg.sets.trailing_zeros()
+    /// The way of the set at `base` that holds `key`.
+    fn find(&self, base: usize, key: u64) -> Option<usize> {
+        self.tags[base..base + self.cfg.ways].iter().position(|&t| t == key)
     }
 
-    /// Looks up `line`; on a hit the LRU stamp is refreshed. Returns whether
-    /// the line is present.
-    pub fn probe(&mut self, line: LineAddr) -> bool {
-        self.tick += 1;
-        let (si, tag) = (self.set_index(line), self.tag(line));
-        let tick = self.tick;
-        if let Some(w) = self.set_mut(si).iter_mut().find(|w| w.valid && w.tag == tag) {
-            w.lru = tick;
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            false
+    /// Makes `way` of the set at `base` the most recent: every way ranked
+    /// before it ages by one.
+    fn touch(&mut self, base: usize, way: usize) {
+        let rank = &mut self.rank[base..base + self.cfg.ways];
+        let old = rank[way];
+        for r in rank.iter_mut() {
+            *r += u8::from(*r < old);
         }
+        rank[way] = 0;
+    }
+
+    /// Looks up `line`, counting the hit or miss; a hit makes the line the
+    /// most recent way of its set. Returns the hit way's array index.
+    fn lookup(&mut self, line: LineAddr) -> Option<usize> {
+        let (base, key) = self.locate(line);
+        match self.find(base, key) {
+            Some(w) => {
+                self.touch(base, w);
+                self.hits += 1;
+                Some(base + w)
+            }
+            None => {
+                self.misses += 1;
+                None
+            }
+        }
+    }
+
+    /// Looks up `line`; a hit makes it the most recent way of its set.
+    /// Returns whether the line is present.
+    pub fn probe(&mut self, line: LineAddr) -> bool {
+        self.lookup(line).is_some()
     }
 
     /// Looks up `line` and marks it dirty on a hit (a store). Returns
     /// whether the line was present.
     pub fn probe_write(&mut self, line: LineAddr) -> bool {
-        let hit = self.probe(line);
-        if hit {
-            let (si, tag) = (self.set_index(line), self.tag(line));
-            if let Some(w) = self.set_mut(si).iter_mut().find(|w| w.valid && w.tag == tag) {
-                w.dirty = true;
-            }
+        let hit = self.lookup(line);
+        if let Some(i) = hit {
+            self.meta[i] |= DIRTY;
         }
-        hit
-    }
-
-    /// True when `line` is present, without touching LRU or hit counters.
-    pub fn contains(&self, line: LineAddr) -> bool {
-        let (si, tag) = (self.set_index(line), self.tag(line));
-        self.set(si).iter().any(|w| w.valid && w.tag == tag)
+        hit.is_some()
     }
 
     /// Installs `line` on behalf of `class` (write-allocate when `dirty`),
@@ -233,63 +241,54 @@ impl SetAssocCache {
     /// invalid ways in the class's partition are used first. If the line is
     /// already present, its dirty bit is OR-ed and no eviction occurs.
     pub fn fill(&mut self, line: LineAddr, class: QosId, dirty: bool) -> Option<Evicted> {
-        self.tick += 1;
-        let (si, tag) = (self.set_index(line), self.tag(line));
-        let tick = self.tick;
+        let (base, key) = self.locate(line);
+        let ways = self.cfg.ways;
 
         // Already present (e.g. a racing fill): refresh, merge dirty.
-        if let Some(w) = self.set_mut(si).iter_mut().find(|w| w.valid && w.tag == tag) {
-            w.lru = tick;
-            w.dirty |= dirty;
+        if let Some(w) = self.find(base, key) {
+            self.touch(base, w);
+            if dirty {
+                self.meta[base + w] |= DIRTY;
+            }
             return None;
         }
 
         let mask = self.masks[class.index()];
-        let shift = self.cfg.sets.trailing_zeros();
-        let set = self.set_mut(si);
-
-        // Prefer an invalid way within the partition.
-        let slot = set
-            .iter()
-            .enumerate()
-            .filter(|&(i, w)| mask.allows(i) && !w.valid)
-            .map(|(i, _)| i)
-            .next()
-            .or_else(|| {
-                // LRU among the partition's valid ways.
-                set.iter()
-                    .enumerate()
-                    .filter(|&(i, _)| mask.allows(i))
-                    .min_by_key(|&(_, w)| w.lru)
-                    .map(|(i, _)| i)
-            })
-            .expect("partition mask guarantees at least one way");
-
-        let victim = &mut set[slot];
-        let evicted = if victim.valid {
-            Some(Evicted {
-                line: LineAddr::new((victim.tag << shift) | si as u64),
-                owner: victim.owner,
-                dirty: victim.dirty,
-            })
-        } else {
-            None
+        let tags = &self.tags[base..base + ways];
+        // Prefer an invalid way within the partition; else the partition's
+        // least recent (highest-ranked) way.
+        let (slot, evicted) = match (0..ways).find(|&w| mask.allows(w) && tags[w] == 0) {
+            Some(w) => {
+                // A set's first fill gives it its rank permutation. Ways 0
+                // and 1 tie only in a set never filled.
+                if ways > 1 && self.rank[base] == self.rank[base + 1] {
+                    for (r, i) in self.rank[base..base + ways].iter_mut().zip(0u8..) {
+                        *r = i;
+                    }
+                }
+                (w, None)
+            }
+            None => {
+                let rank = &self.rank[base..base + ways];
+                let w = (0..ways)
+                    .filter(|&w| mask.allows(w))
+                    .max_by_key(|&w| rank[w])
+                    .expect("partition mask guarantees at least one way");
+                let shift = self.cfg.sets.trailing_zeros();
+                let meta = self.meta[base + w];
+                let victim = Evicted {
+                    line: LineAddr::new(((tags[w] - 1) << shift) | (base / ways) as u64),
+                    owner: QosId::new(meta & !DIRTY),
+                    dirty: meta & DIRTY != 0,
+                };
+                (w, Some(victim))
+            }
         };
-        *victim = Way { tag, valid: true, dirty, owner: class, lru: tick };
-        evicted
-    }
 
-    /// Removes `line` if present, returning its eviction record.
-    pub fn invalidate(&mut self, line: LineAddr) -> Option<Evicted> {
-        let (si, tag) = (self.set_index(line), self.tag(line));
-        let sets_shift = self.cfg.sets.trailing_zeros();
-        let w = self.set_mut(si).iter_mut().find(|w| w.valid && w.tag == tag)?;
-        w.valid = false;
-        Some(Evicted {
-            line: LineAddr::new((w.tag << sets_shift) | si as u64),
-            owner: w.owner,
-            dirty: w.dirty,
-        })
+        self.tags[base + slot] = key;
+        self.meta[base + slot] = class.index() as u8 | if dirty { DIRTY } else { 0 };
+        self.touch(base, slot);
+        evicted
     }
 
     /// Demand hits observed so far.
@@ -304,7 +303,8 @@ impl SetAssocCache {
 
     /// Valid lines currently held by `class` (occupancy monitoring, §II-B).
     pub fn occupancy(&self, class: QosId) -> usize {
-        self.ways.iter().filter(|w| w.valid && w.owner == class).count()
+        let owner = class.index() as u8;
+        self.tags.iter().zip(&self.meta).filter(|&(&t, &m)| t != 0 && m & !DIRTY == owner).count()
     }
 }
 
@@ -341,8 +341,8 @@ mod tests {
         assert!(c.probe(LineAddr::new(0)));
         let ev = c.fill(LineAddr::new(8), q(0), false).expect("must evict");
         assert_eq!(ev.line, LineAddr::new(4));
-        assert!(c.contains(LineAddr::new(0)));
-        assert!(!c.contains(LineAddr::new(4)));
+        assert!(c.probe(LineAddr::new(0)));
+        assert!(!c.probe(LineAddr::new(4)));
     }
 
     #[test]
@@ -360,9 +360,13 @@ mod tests {
     fn refill_merges_dirty_without_eviction() {
         let mut c = small();
         c.fill(LineAddr::new(0), q(0), false);
+        c.fill(LineAddr::new(4), q(0), false);
+        // The refill merges the dirty bit and makes line 0 the most recent.
         assert_eq!(c.fill(LineAddr::new(0), q(0), true), None);
-        let ev = c.invalidate(LineAddr::new(0)).unwrap();
-        assert!(ev.dirty);
+        let ev = c.fill(LineAddr::new(8), q(0), false).unwrap();
+        assert_eq!((ev.line, ev.dirty), (LineAddr::new(4), false));
+        let ev = c.fill(LineAddr::new(12), q(0), false).unwrap();
+        assert_eq!((ev.line, ev.dirty), (LineAddr::new(0), true));
     }
 
     #[test]
@@ -370,7 +374,11 @@ mod tests {
         let mut c = small();
         c.fill(LineAddr::new(0), q(0), false);
         assert!(c.probe_write(LineAddr::new(0)));
-        assert!(c.invalidate(LineAddr::new(0)).unwrap().dirty);
+        assert!(!c.probe_write(LineAddr::new(4)));
+        c.fill(LineAddr::new(4), q(0), false);
+        let ev = c.fill(LineAddr::new(8), q(0), false).unwrap();
+        assert_eq!((ev.line, ev.dirty), (LineAddr::new(0), true));
+        assert_eq!((c.hits(), c.misses()), (1, 1));
     }
 
     #[test]
@@ -391,8 +399,8 @@ mod tests {
                 assert_eq!(ev.owner, q(0), "class 0 may only evict its own partition");
             }
         }
-        assert!(c.contains(LineAddr::new(100)));
-        assert!(c.contains(LineAddr::new(102)));
+        assert!(c.probe(LineAddr::new(100)));
+        assert!(c.probe(LineAddr::new(102)));
     }
 
     #[test]
@@ -442,12 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_absent_returns_none() {
-        let mut c = small();
-        assert_eq!(c.invalidate(LineAddr::new(9)), None);
-    }
-
-    #[test]
     fn eviction_line_reconstruction_exact() {
         // The reconstructed victim address must be the original line.
         let mut c = SetAssocCache::new(CacheConfig { sets: 8, ways: 1 });
@@ -455,5 +457,57 @@ mod tests {
         c.fill(line, q(0), false);
         let ev = c.fill(LineAddr::new(0b1111_0101), q(0), false).unwrap();
         assert_eq!(ev.line, line);
+    }
+
+    #[test]
+    fn storage_is_ten_bytes_per_way() {
+        use std::mem::size_of_val;
+        for ways in [8, 16] {
+            let c = SetAssocCache::new(CacheConfig { sets: 64, ways });
+            // Naming every field makes a new one a compile error here
+            // until it is counted.
+            let SetAssocCache { cfg: _, tags, rank, meta, masks: _, hits: _, misses: _ } = &c;
+            let bytes = size_of_val(tags.as_slice())
+                + size_of_val(rank.as_slice())
+                + size_of_val(meta.as_slice());
+            assert_eq!(bytes, 10 * 64 * ways, "{ways}-way");
+        }
+    }
+
+    #[test]
+    fn ranks_stay_a_permutation() {
+        use pabst_simkit::rng::SimRng;
+        let geometries = [(1, 1), (1, 16), (4, 4), (64, 8), (8, 16)];
+        for (sets, ways) in geometries {
+            for seed in 0..16u64 {
+                let mut rng = SimRng::seed_from_u64(seed ^ 0x4a4b);
+                let mut c = SetAssocCache::new(CacheConfig { sets, ways });
+                if ways == 16 {
+                    c.set_partition(q(0), WayMask(0x03ff));
+                    c.set_partition(q(1), WayMask(0xffc0));
+                }
+                let lines = 3 * (sets * ways) as u64;
+                for op in 0..1000 {
+                    let line = LineAddr::new(rng.gen_range(0..lines));
+                    match rng.gen_range(0..3) {
+                        0 => _ = c.probe(line),
+                        1 => _ = c.probe_write(line),
+                        _ => {
+                            _ = c.fill(line, q(rng.gen_range(0..2) as u8), rng.gen_range(0..2) == 1)
+                        }
+                    }
+                    let base = c.locate(line).0;
+                    let filled = c.tags[base..base + ways].iter().any(|&t| t != 0);
+                    let mut ranks = c.rank[base..base + ways].to_vec();
+                    ranks.sort_unstable();
+                    let want: Vec<u8> =
+                        if filled { (0..ways as u8).collect() } else { vec![0; ways] };
+                    assert_eq!(
+                        ranks, want,
+                        "{sets}x{ways} seed {seed} op {op}: ranks of line {line:?}'s set"
+                    );
+                }
+            }
+        }
     }
 }
