@@ -4,9 +4,9 @@
 //! the in-repo micro-benchmark harness, and a serial-vs-parallel sweep
 //! comparison through `harness::run_indexed` (the `all_figures` executor).
 //!
-//! Each profile's window, skip-on and naive alike, is timed `--repeats`
-//! times (default 5; `--quick` defaults to 1) on freshly built systems, and
-//! the fastest run is kept: host noise only ever adds time.
+//! Each profile's window, skip-on and naive alike, is timed 5 times (once
+//! under `--quick`) on freshly built systems, and the fastest run is kept:
+//! host noise only ever adds time.
 //!
 //! Writes `BENCH_sim_throughput.json` (override with `--out <path>`) —
 //! the seed of the repo's perf trajectory; CI runs this in `--quick`
@@ -300,7 +300,7 @@ fn main() {
     let args = CliArgs::parse();
     let quick = args.quick;
     let epochs = if quick { 2 } else { 10 };
-    let repeats = args.repeats.unwrap_or(if quick { 1 } else { 5 });
+    let repeats = if quick { 1 } else { 5 };
     println!(
         "simulator throughput ({} mode, fastest of {repeats} per window)",
         if quick { "smoke" } else { "full" }

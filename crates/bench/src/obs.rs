@@ -49,9 +49,6 @@ pub struct CliArgs {
     /// Force naive per-cycle stepping (the skip-off baseline) for every
     /// system this invocation builds.
     pub no_skip: bool,
-    /// Timed windows per measurement, of which a timing binary keeps the
-    /// fastest; `None` takes the binary's default.
-    pub repeats: Option<usize>,
 }
 
 impl CliArgs {
@@ -73,8 +70,8 @@ impl CliArgs {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first unknown flag, missing value,
-    /// non-numeric `--jobs` argument, or `--repeats` that is not positive.
+    /// Returns a description of the first unknown flag, missing value, or
+    /// non-numeric `--jobs` argument.
     pub fn parse_from(argv: &[String]) -> Result<Self, String> {
         let mut args = Self::default();
         let mut it = argv.iter();
@@ -102,13 +99,6 @@ impl CliArgs {
                 "--out" => args.out = Some(value(&mut it)?),
                 "--keep-going" => args.keep_going = true,
                 "--no-skip" => args.no_skip = true,
-                "--repeats" => {
-                    let v = value(&mut it)?;
-                    args.repeats = match v.parse() {
-                        Ok(n) if n > 0 => Some(n),
-                        _ => return Err(format!("--repeats needs a positive number, got `{v}`")),
-                    };
-                }
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
@@ -119,8 +109,7 @@ impl CliArgs {
 /// The flag summary printed on a parse error.
 pub fn usage() -> String {
     "usage: <bin> [--quick] [--jobs <n>] [--filter <experiment>] \
-     [--trace <path>] [--report-json <path>] [--out <path>] [--keep-going] [--no-skip] \
-     [--repeats <n>]"
+     [--trace <path>] [--report-json <path>] [--out <path>] [--keep-going] [--no-skip]"
         .to_string()
 }
 
@@ -163,14 +152,6 @@ mod tests {
     fn no_skip_defaults_off_and_parses() {
         assert!(!parse(&[]).unwrap().no_skip);
         assert!(parse(&["--no-skip"]).unwrap().no_skip);
-    }
-
-    #[test]
-    fn repeats_must_be_positive() {
-        assert_eq!(parse(&[]).unwrap().repeats, None);
-        assert_eq!(parse(&["--repeats", "3"]).unwrap().repeats, Some(3));
-        assert!(parse(&["--repeats=0"]).unwrap_err().contains("positive"));
-        assert!(parse(&["--repeats", "x"]).is_err());
     }
 
     #[test]

@@ -112,6 +112,11 @@ const _: () = assert!(MAX_CLASSES <= DIRTY as usize);
 /// Purely functional state: lookups and fills mutate tags/LRU but carry no
 /// timing; latency is applied by the caller.
 ///
+/// Lines must be below `u64::MAX`, which every line made by
+/// [`Addr::line`](crate::Addr::line) is: a way stores its tag plus one, and
+/// in a one-set cache the tag is the whole line number. Debug builds panic
+/// on `u64::MAX`.
+///
 /// # Examples
 ///
 /// ```
@@ -129,8 +134,8 @@ const _: () = assert!(MAX_CLASSES <= DIRTY as usize);
 pub struct SetAssocCache {
     cfg: CacheConfig,
     /// Per way, set-major (`sets * ways` long, as are `rank` and `meta`):
-    /// the line's tag plus one, or 0 for an invalid way. A line number is
-    /// a byte address shifted right by 6, so the increment cannot overflow.
+    /// the line's tag plus one, or 0 for an invalid way (hence the bound on
+    /// lines in the type's docs).
     tags: Vec<u64>,
     /// Per way, its recency rank within its set: 0 is the most recently
     /// touched. The ranks of a set that has been filled are a permutation
@@ -181,6 +186,7 @@ impl SetAssocCache {
     /// The index of the first way of `line`'s set, and the line's stored
     /// key (tag plus one).
     fn locate(&self, line: LineAddr) -> (usize, u64) {
+        debug_assert!(line.get() < u64::MAX, "line u64::MAX has no tag key");
         let si = (line.get() as usize) & (self.cfg.sets - 1);
         (si * self.cfg.ways, (line.get() >> self.cfg.sets.trailing_zeros()) + 1)
     }
@@ -457,6 +463,24 @@ mod tests {
         c.fill(line, q(0), false);
         let ev = c.fill(LineAddr::new(0b1111_0101), q(0), false).unwrap();
         assert_eq!(ev.line, line);
+    }
+
+    #[test]
+    fn largest_line_round_trips_in_one_set() {
+        let mut c = SetAssocCache::new(CacheConfig { sets: 1, ways: 1 });
+        let top = LineAddr::new(u64::MAX - 1);
+        c.fill(top, q(0), true);
+        assert!(c.probe(top));
+        let ev = c.fill(LineAddr::new(0), q(1), false).unwrap();
+        assert_eq!(ev, Evicted { line: top, owner: q(0), dirty: true });
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "u64::MAX")]
+    fn line_u64_max_is_rejected() {
+        let mut c = SetAssocCache::new(CacheConfig { sets: 1, ways: 1 });
+        c.probe(LineAddr::new(u64::MAX));
     }
 
     #[test]
