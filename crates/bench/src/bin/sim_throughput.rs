@@ -4,16 +4,18 @@
 //! the in-repo micro-benchmark harness, and a serial-vs-parallel sweep
 //! comparison through `harness::run_indexed` (the `all_figures` executor).
 //!
-//! Each profile's window, skip-on and naive alike, is timed 5 times (once
-//! under `--quick`) on freshly built systems, and the fastest run is kept:
-//! host noise only ever adds time.
+//! Each profile's window, skip-on and naive alike, runs whole epochs
+//! until it has taken at least half a second of host time, so fast and
+//! slow profiles are measured over comparable host windows. It is timed
+//! 5 times on freshly built systems, and the fastest run is kept: host
+//! noise only ever adds time. `--quick` times 2 epochs once.
 //!
 //! Writes `BENCH_sim_throughput.json` (override with `--out <path>`) —
 //! the seed of the repo's perf trajectory; CI runs this in `--quick`
 //! (smoke) mode and uploads the artifact, and the committed file is the
 //! full-mode result the next perf PR measures against.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pabst_bench::obs::CliArgs;
 use pabst_bench::scenarios::{read_streamers, region_for, write_streamers};
@@ -22,6 +24,23 @@ use pabst_cpu::Workload;
 use pabst_soc::config::{RegulationMode, SystemConfig};
 use pabst_soc::system::{System, SystemBuilder};
 use pabst_workloads::ChaserGen;
+
+/// How each arm of a profile is timed: the fastest of `repeats` windows,
+/// each running whole epochs until it has run `min_epochs` of them and
+/// taken `min_host` of host time.
+#[derive(Clone, Copy)]
+struct Window {
+    repeats: usize,
+    min_epochs: u64,
+    min_host: Duration,
+}
+
+/// `--quick`: one window of 2 epochs (the CI smoke).
+const QUICK: Window = Window { repeats: 1, min_epochs: 2, min_host: Duration::ZERO };
+/// Full mode: fastest of 5 windows of at least 0.5 s each, so a
+/// 2,000-cycle `chaser` epoch and a 20,000-cycle mesh epoch are measured
+/// over comparable host windows.
+const FULL: Window = Window { repeats: 5, min_epochs: 1, min_host: Duration::from_millis(500) };
 
 /// One profiled configuration, timed twice: with partitioned cycle
 /// skipping (the default execution strategy) and naive per-cycle
@@ -52,14 +71,6 @@ struct Profile {
     mc_skip_rate: f64,
 }
 
-/// One cell of the probe-backoff sweep: cycles/second with the given
-/// [`pabst_soc::system::SystemBuilder::probe_backoff_cap`].
-struct BackoffPoint {
-    prof_name: &'static str,
-    cap: u64,
-    cycles_per_sec: u64,
-}
-
 /// Serial vs parallel wall-clock for a batch of independent runs.
 struct SweepProfile {
     runs: usize,
@@ -81,10 +92,6 @@ fn chasers_1chain(class: usize, n: usize, seed: u64) -> Vec<Box<dyn Workload>> {
 }
 
 fn build(name: &str, skip: bool) -> System {
-    build_capped(name, skip, None)
-}
-
-fn build_capped(name: &str, skip: bool, cap: Option<u64>) -> System {
     let (mut cfg, per_class) = match name {
         "baseline" | "write_stream" => (SystemConfig::baseline_32core(), 16),
         "mesh_64" => (SystemConfig::mesh_64(), 32),
@@ -109,17 +116,15 @@ fn build_capped(name: &str, skip: bool, cap: Option<u64>) -> System {
             .class(3, read_streamers(0, per_class, 0))
             .class(1, read_streamers(1, per_class, 0))
     };
-    let b = match cap {
-        Some(c) => b.probe_backoff_cap(c),
-        None => b,
-    };
     b.skip(skip).build().expect("throughput configuration")
 }
 
-/// What one timed window measured: wall clock plus the three skip
-/// counters (global jumps, tile-cycles parked, controller-cycles the
-/// jumps accrued) and the domain counts that normalise the latter two.
+/// What one timed window measured: its length, wall clock, the three
+/// skip counters (global jumps, tile-cycles parked, controller-cycles
+/// the jumps accrued) and the domain counts that normalise the latter
+/// two.
 struct TimedRun {
+    epochs: u64,
     elapsed_ns: u128,
     cycles_per_sec: u64,
     cycles_skipped: u64,
@@ -129,30 +134,34 @@ struct TimedRun {
     mcs: u64,
 }
 
-/// The fastest of `repeats` timed windows of `epochs` epochs of `name` in
-/// one skip mode, each on a freshly built system.
-fn time_run(name: &str, epochs: u64, skip: bool, repeats: usize) -> TimedRun {
-    (0..repeats)
-        .map(|_| time_run_capped(name, epochs, skip, None))
-        .min_by_key(|r| r.elapsed_ns)
+/// The fastest of `w.repeats` timed windows of `name` in one skip mode,
+/// each on a freshly built system.
+fn time_run(name: &str, skip: bool, w: Window) -> TimedRun {
+    (0..w.repeats)
+        .map(|_| time_window(name, skip, w))
+        .max_by_key(|r| r.cycles_per_sec)
         .expect("at least one repeat")
 }
 
-/// [`time_run`] with an optional probe-backoff cap override (the sweep).
-fn time_run_capped(name: &str, epochs: u64, skip: bool, cap: Option<u64>) -> TimedRun {
-    let mut sys = build_capped(name, skip, cap);
+fn time_window(name: &str, skip: bool, w: Window) -> TimedRun {
+    let mut sys = build(name, skip);
     sys.run_epochs(1); // warm caches, queues, and the governor
     let skipped_before = sys.cycles_skipped();
     let tile_before = sys.tile_cycles_skipped();
     let mc_before = sys.mc_cycles_skipped();
     let epoch_cycles = sys.metrics().bw_series.epoch_cycles();
     let start = Instant::now();
-    sys.run_epochs(epochs as usize);
+    let mut epochs = 0;
+    while epochs < w.min_epochs || start.elapsed() < w.min_host {
+        sys.run_epochs(1);
+        epochs += 1;
+    }
     let elapsed = start.elapsed();
     let cycles = epochs * epoch_cycles;
     let secs = elapsed.as_secs_f64();
     let cps = if secs > 0.0 { (cycles as f64 / secs) as u64 } else { 0 };
     TimedRun {
+        epochs,
         elapsed_ns: elapsed.as_nanos(),
         cycles_per_sec: cps,
         cycles_skipped: sys.cycles_skipped() - skipped_before,
@@ -163,16 +172,17 @@ fn time_run_capped(name: &str, epochs: u64, skip: bool, cap: Option<u64>) -> Tim
     }
 }
 
-fn profile(name: &'static str, epochs: u64, repeats: usize) -> Profile {
+fn profile(name: &'static str, w: Window) -> Profile {
     let epoch_cycles = build(name, true).metrics().bw_series.epoch_cycles();
-    let timed = time_run(name, epochs, true, repeats);
-    let naive = time_run(name, epochs, false, repeats);
+    let timed = time_run(name, true, w);
+    let naive = time_run(name, false, w);
+    let epochs = timed.epochs;
     let cycles = epochs * epoch_cycles;
     let rate = timed.cycles_skipped as f64 / cycles as f64;
     let tile_rate = timed.tile_cycles_skipped as f64 / (cycles * timed.tiles) as f64;
     let mc_rate = timed.mc_cycles_skipped as f64 / (cycles * timed.mcs) as f64;
     println!(
-        "{name:<12} {epochs:>3} epochs x {epoch_cycles} cycles in {:>8.1} ms  ->  {} cycles/s \
+        "{name:<12} {epochs:>4} epochs x {epoch_cycles} cycles in {:>8.1} ms  ->  {} cycles/s \
          (global skip {:.1}%, tile-local {:.1}%, mc jumped {:.1}%, naive {} cycles/s)",
         timed.elapsed_ns as f64 / 1e6,
         timed.cycles_per_sec,
@@ -196,27 +206,6 @@ fn profile(name: &'static str, epochs: u64, repeats: usize) -> Profile {
         mc_cycles_skipped: timed.mc_cycles_skipped,
         mc_skip_rate: mc_rate,
     }
-}
-
-/// Times `baseline` and `chaser` across probe-backoff caps — the data
-/// behind the `DEFAULT_PROBE_BACKOFF_CAP` choice. A cap of 1 disables
-/// backoff (probe every cycle after a failed skip); larger caps let the
-/// probe retreat exponentially when the machine stays busy.
-fn backoff_sweep(quick: bool) -> Vec<BackoffPoint> {
-    let caps: &[u64] = if quick { &[1, 8, 64] } else { &[1, 2, 4, 8, 16, 32, 64] };
-    let epochs = if quick { 2 } else { 6 };
-    let mut points = Vec::new();
-    for prof_name in ["baseline", "chaser"] {
-        for &cap in caps {
-            let timed = time_run_capped(prof_name, epochs, true, Some(cap));
-            println!(
-                "backoff    {prof_name:<10} cap {cap:>3}  ->  {} cycles/s",
-                timed.cycles_per_sec
-            );
-            points.push(BackoffPoint { prof_name, cap, cycles_per_sec: timed.cycles_per_sec });
-        }
-    }
-    points
 }
 
 /// Times the same batch of independent small-machine runs twice through
@@ -243,12 +232,7 @@ fn profile_sweep(jobs: usize, runs: usize, epochs: usize) -> SweepProfile {
     SweepProfile { runs, jobs, serial_ns, parallel_ns }
 }
 
-fn to_json(
-    repeats: usize,
-    profiles: &[Profile],
-    backoff: &[BackoffPoint],
-    sweep: &SweepProfile,
-) -> String {
+fn to_json(repeats: usize, profiles: &[Profile], sweep: &SweepProfile) -> String {
     use std::fmt::Write as _;
     let mut s = format!("{{\"bench\":\"sim_throughput\",\"repeats\":{repeats},\"configs\":[");
     for (i, p) in profiles.iter().enumerate() {
@@ -277,17 +261,6 @@ fn to_json(
             p.mc_skip_rate
         );
     }
-    s.push_str("],\"backoff_sweep\":[");
-    for (i, b) in backoff.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"profile\":\"{}\",\"cap\":{},\"cycles_per_sec\":{}}}",
-            b.prof_name, b.cap, b.cycles_per_sec
-        );
-    }
     let _ = writeln!(
         s,
         "],\"sweep\":{{\"runs\":{},\"jobs\":{},\"serial_ns\":{},\"parallel_ns\":{}}}}}",
@@ -299,21 +272,18 @@ fn to_json(
 fn main() {
     let args = CliArgs::parse();
     let quick = args.quick;
-    let epochs = if quick { 2 } else { 10 };
-    let repeats = if quick { 1 } else { 5 };
+    let window = if quick { QUICK } else { FULL };
     println!(
-        "simulator throughput ({} mode, fastest of {repeats} per window)",
-        if quick { "smoke" } else { "full" }
+        "simulator throughput ({} mode, fastest of {} per window)",
+        if quick { "smoke" } else { "full" },
+        window.repeats
     );
 
     let profiles: Vec<Profile> =
         ["small", "baseline", "mesh_64", "mesh_256x16", "chaser", "write_stream"]
             .into_iter()
-            .map(|name| profile(name, epochs, repeats))
+            .map(|name| profile(name, window))
             .collect();
-
-    // Probe-backoff cap sweep — the evidence behind the builder default.
-    let backoff = backoff_sweep(quick);
 
     // Per-epoch wall time through the micro-benchmark harness (median of
     // 9 samples, fresh warmed system per sample) — the step()-path number
@@ -336,7 +306,7 @@ fn main() {
     let sweep = profile_sweep(sweep_jobs, sweep_runs, if quick { 2 } else { 6 });
 
     let out = args.out.unwrap_or_else(|| "BENCH_sim_throughput.json".to_string());
-    let json = to_json(repeats, &profiles, &backoff, &sweep);
+    let json = to_json(window.repeats, &profiles, &sweep);
     match std::fs::write(&out, &json) {
         Ok(()) => println!("wrote {out}"),
         Err(e) => {

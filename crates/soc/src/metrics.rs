@@ -31,14 +31,6 @@ pub struct Metrics {
     pub bytes_at_start: [u64; MAX_CLASSES],
     /// Last marker retirement cycle per core (service-time deltas).
     pub last_marker: Vec<Option<Cycle>>,
-    /// Cycles the event-horizon fast-forward elided (see
-    /// `docs/PERFORMANCE.md`). Purely diagnostic: never reported in traces
-    /// or experiment JSON, so skip-on and skip-off runs stay byte-identical.
-    pub cycles_skipped: u64,
-    /// Controller-cycles the global jump accrued instead of stepping:
-    /// each jump adds its length once per controller not frozen by an
-    /// mc-stall window. Diagnostic only, like `cycles_skipped`.
-    pub mc_cycles_skipped: u64,
 }
 
 impl Metrics {
@@ -55,8 +47,6 @@ impl Metrics {
             stall_cycles_at_start: 0,
             bytes_at_start: [0; MAX_CLASSES],
             last_marker: vec![None; cores],
-            cycles_skipped: 0,
-            mc_cycles_skipped: 0,
         }
     }
 

@@ -1,5 +1,4 @@
-//! The skip-domain scheduler: partitioned quiescence tracking for
-//! tiles.
+//! The skip-domain scheduler: the one owner of cycle skipping.
 //!
 //! The original fast-forward design min-combined ONE global horizon, so
 //! a single busy component pinned the whole machine to naive stepping.
@@ -9,6 +8,13 @@
 //! tile, and its per-cycle bookkeeping (ROB-full stalls, pacer throttle
 //! NACKs) is batch-accrued when the tile is unparked, through the same
 //! `accrue_skip` paths the global jump uses.
+//!
+//! [`DomainSched`] holds everything the skip decision needs: the park
+//! state of every tile, both park sites (the core stage's
+//! [`DomainSched::park_if_idle`] and the probe's
+//! [`DomainSched::probe_tiles`]), the wake edges below, the pacing of
+//! the horizon probe, and the host-side skip counters. None of it is
+//! simulated state: skip-on and skip-off runs are byte-identical.
 //!
 //! Memory controllers are not skip domains. A controller with no work
 //! steps as one SAT-monitor occupancy sample, so parking it would save
@@ -48,38 +54,98 @@
 //! when its own horizon proves it inert, and a wake can only be early
 //! (costing a few live steps), never late.
 //!
+//! # Probe pacing
+//!
+//! On a saturated machine the horizon is `now` nearly every cycle, and
+//! probing it would be pure overhead. Each failed probe doubles the
+//! distance to the next one, up to a fixed cap of 8 cycles; a global
+//! jump resets it. Un-probed cycles are stepped naively, which is
+//! always correct, so the pacing never affects simulated behavior.
+//!
 //! The scheduler also holds the one skip switch (`SystemBuilder::skip`;
 //! `--no-skip` on the bench binaries). Off, nothing parks and
 //! `System::advance` never probes, so the same step loop visits every
 //! tile every cycle: the naive per-cycle interpreter, the oracle.
 
-use pabst_simkit::horizon::{DomainHorizon, Horizon, NO_WAKE};
+use pabst_simkit::horizon::Horizon;
 use pabst_simkit::Cycle;
 
 use crate::tile::Tile;
 
-/// Park/unpark scheduler over the system's tile skip domains, with an
-/// elision counter.
+/// Cap on the probe backoff, in cycles. Small enough that the start of
+/// a quiescent window is never missed by more than a handful of naive
+/// steps, large enough that a saturated machine pays for at most one
+/// probe every eight cycles. Medians of eight full `sim_throughput` runs
+/// on a 2-vCPU Xeon VM read 1.01M, 1.14M and 1.16M cycles/s on the
+/// baseline at caps 1, 2 and 8: small caps cost speed, and no larger cap
+/// clearly beats 8.
+const PROBE_BACKOFF_CAP: u64 = 8;
+
+/// The skip scheduler: park/unpark state of the tile skip domains,
+/// horizon-probe pacing, and the skip counters.
 ///
-/// Owns no simulator state beyond the park bookkeeping; the owed-cycle
-/// accrual it performs at wake time routes through each tile's existing
-/// `accrue_skip` paths, so a parked window is bit-identical to the same
-/// window stepped naively.
+/// Owns no simulator state; the owed-cycle accrual it performs at wake
+/// time routes through each tile's existing `accrue_skip` paths, so a
+/// parked window is bit-identical to the same window stepped naively.
+///
+/// A parked tile's cached `next_event` answer is its `wake_at`. The
+/// cache is only ever written at park time and discarded at unpark
+/// time, and every mutation that could invalidate it (a wake edge
+/// above) routes through an unpark. `min_wake` memoizes the minimum
+/// `wake_at` as a *lower bound*: parking folds the new wake in eagerly,
+/// unparking leaves it stale-low. A stale bound can only cause an extra
+/// due-scan, never a missed wake.
 #[derive(Debug)]
 pub struct DomainSched {
-    tiles: DomainHorizon,
     /// The skip switch (see the module doc).
     enabled: bool,
-    /// Tile-cycles elided by parking (diagnostic only; absent from all
-    /// artifacts, like `cycles_skipped`).
-    tile_cycles: u64,
+    /// Per tile: the cached wake of a parked tile. `Cycle::MAX`, a wake
+    /// at the end of time, for a parked tile that only a wake edge can
+    /// wake and for every resident tile.
+    wake_at: Vec<Cycle>,
+    /// Per parked tile: the first cycle whose bookkeeping it still owes.
+    owed_from: Vec<Cycle>,
+    /// Number of parked tiles.
+    parked: usize,
+    /// Lower bound on `wake_at` over the parked tiles.
+    min_wake: Cycle,
+    /// Bitset of the resident (not parked) tiles, bit `k` of word
+    /// `k / 64`, so the step loops visit only live tiles.
+    resident: Vec<u64>,
+    /// Next cycle at which `System::advance` probes the horizon.
+    probe_at: Cycle,
+    /// Current probe backoff in cycles (doubles per failed probe up to
+    /// [`PROBE_BACKOFF_CAP`], resets to 1 on every global jump).
+    probe_backoff: u64,
+    /// Cycles elided by global jumps.
+    cycles_skipped: u64,
+    /// Tile-cycles elided by parking, global jumps included.
+    tile_cycles_skipped: u64,
+    /// Controller-cycles global jumps accrued instead of stepping.
+    mc_cycles_skipped: u64,
 }
 
 impl DomainSched {
     /// A scheduler for `tiles` tile domains, all initially resident.
     /// With `enabled` false nothing ever parks (naive stepping).
     pub fn new(tiles: usize, enabled: bool) -> Self {
-        Self { tiles: DomainHorizon::new(tiles), enabled, tile_cycles: 0 }
+        let mut resident = vec![u64::MAX; tiles.div_ceil(64)];
+        if !tiles.is_multiple_of(64) {
+            resident[tiles / 64] = (1 << (tiles % 64)) - 1;
+        }
+        Self {
+            enabled,
+            wake_at: vec![Cycle::MAX; tiles],
+            owed_from: vec![0; tiles],
+            parked: 0,
+            min_wake: Cycle::MAX,
+            resident,
+            probe_at: 0,
+            probe_backoff: 1,
+            cycles_skipped: 0,
+            tile_cycles_skipped: 0,
+            mc_cycles_skipped: 0,
+        }
     }
 
     /// Whether skipping is on: tiles park and `System::advance` probes
@@ -90,24 +156,75 @@ impl DomainSched {
 
     /// True when tile `i` is parked (the step loop must not visit it).
     pub fn tile_parked(&self, i: usize) -> bool {
-        self.tiles.is_parked(i)
+        self.resident[i / 64] & (1 << (i % 64)) == 0
     }
 
     /// The lowest resident (unparked) tile in `from..end`, if any: the
     /// step loops walk live tiles in index order by stepping `from`
     /// past each answer.
     pub fn next_resident_tile(&self, from: usize, end: usize) -> Option<usize> {
-        self.tiles.next_resident(from, end)
+        let end = end.min(self.wake_at.len());
+        if from >= end {
+            return None;
+        }
+        let mut w = from / 64;
+        let mut bits = self.resident[w] & (u64::MAX << (from % 64));
+        loop {
+            if bits != 0 {
+                let k = w * 64 + bits.trailing_zeros() as usize;
+                return (k < end).then_some(k);
+            }
+            w += 1;
+            if w * 64 >= end {
+                return None;
+            }
+            bits = self.resident[w];
+        }
     }
 
-    /// Parked tile `i`'s cached `next_event` answer (`None` when it has
-    /// no self-scheduled wake). This *is* the memoized horizon: probes
-    /// fold it instead of re-walking the tile.
-    pub fn tile_wake(&self, i: usize) -> Option<Cycle> {
-        match self.tiles.wake_at(i) {
-            NO_WAKE => None,
-            at => Some(at),
+    /// Parks tile `i`: bookkeeping owed from `owed_from`, cached wake
+    /// `wake_at` (the tile's `next_event` at park time; `None` when only
+    /// a wake edge can wake it).
+    fn park(&mut self, i: usize, owed_from: Cycle, wake_at: Option<Cycle>) {
+        debug_assert!(!self.tile_parked(i), "double park of tile {i}");
+        let wake = wake_at.unwrap_or(Cycle::MAX);
+        self.wake_at[i] = wake;
+        self.owed_from[i] = owed_from;
+        self.parked += 1;
+        self.min_wake = self.min_wake.min(wake);
+        self.resident[i / 64] &= !(1 << (i % 64));
+    }
+
+    /// Unparks tile `i`, returning the number of owed bookkeeping
+    /// cycles in `[owed_from, through)`. A no-op returning 0 when `i`
+    /// is not parked, so wake edges need not pre-check.
+    fn unpark(&mut self, i: usize, through: Cycle) -> u64 {
+        if !self.tile_parked(i) {
+            return 0;
         }
+        self.wake_at[i] = Cycle::MAX;
+        self.parked -= 1;
+        self.resident[i / 64] |= 1 << (i % 64);
+        through.saturating_sub(self.owed_from[i])
+    }
+
+    /// True when some parked tile *might* have a due wake
+    /// (`wake_at <= now`). Reads the stale-low memo, so it may answer
+    /// `true` spuriously after unparks, never `false` while a wake is
+    /// due.
+    fn maybe_due(&self, now: Cycle) -> bool {
+        self.parked > 0 && self.min_wake <= now
+    }
+
+    /// Tightens the memoized minimum wake after a due-scan. Correctness
+    /// never depends on this (the bound is only ever stale-*low*), only
+    /// scan cost does.
+    fn recompute_min(&mut self) {
+        self.min_wake = if self.parked == 0 {
+            Cycle::MAX
+        } else {
+            self.wake_at.iter().copied().min().unwrap_or(Cycle::MAX)
+        };
     }
 
     /// True when tile `i`'s core provably cannot retire, issue, or
@@ -131,15 +248,34 @@ impl DomainSched {
         th.merge(tile.mem.next_inject_at(now));
         let th = th.get();
         if th.is_none_or(|at| at > now) {
-            self.park_tile(i, now + 1, th);
+            self.park(i, now + 1, th);
         }
         true
     }
 
-    /// Parks tile `i`: bookkeeping owed from `owed_from`, cached
-    /// horizon `wake_at` (the tile's `next_event` at park time).
-    pub fn park_tile(&mut self, i: usize, owed_from: Cycle, wake_at: Option<Cycle>) {
-        self.tiles.park(i, owed_from, wake_at);
+    /// The horizon probe's tile walk, in index order. A parked tile
+    /// folds its cached wake into `h` instead of recomputing (the
+    /// memoization); a resident tile folds its `next_event` and, when
+    /// that lies in the future, parks with it as the cached wake — it is
+    /// inert on its own even if some *other* component makes this probe
+    /// answer "due". Returns true, ending the walk, at the first tile
+    /// due at `now` (a parked one is then woken by the step loop's
+    /// due-scan).
+    pub fn probe_tiles(&mut self, now: Cycle, tiles: &[Tile], h: &mut Horizon) -> bool {
+        for (i, tile) in tiles.iter().enumerate() {
+            if self.tile_parked(i) {
+                if h.merge_due(Some(self.wake_at[i]), now) {
+                    return true;
+                }
+                continue;
+            }
+            let ev = tile.next_event(now);
+            if h.merge_due(ev, now) {
+                return true;
+            }
+            self.park(i, now, ev);
+        }
+        false
     }
 
     /// Wakes tile `i` with bookkeeping accrued through (excluding)
@@ -147,11 +283,11 @@ impl DomainSched {
     /// to the pacer of the frozen injection head. A no-op when `i` is
     /// not parked.
     pub fn wake_tile(&mut self, i: usize, through: Cycle, tile: &mut Tile) {
-        let owed = self.tiles.unpark(i, through);
+        let owed = self.unpark(i, through);
         if owed > 0 {
             tile.core.accrue_skip(owed);
             tile.mem.accrue_throttle_skip(owed);
-            self.tile_cycles += owed;
+            self.tile_cycles_skipped += owed;
         }
     }
 
@@ -159,40 +295,232 @@ impl DomainSched {
     /// (`wake_at <= now`). Runs off the memoized minimum, so the common
     /// nothing-due case is one comparison.
     pub fn wake_due_tiles(&mut self, now: Cycle, tiles: &mut [Tile]) {
-        if !self.tiles.maybe_due(now) {
+        if !self.maybe_due(now) {
             return;
         }
         for (i, tile) in tiles.iter_mut().enumerate() {
-            // Resident tiles read NO_WAKE, which is never due.
-            if self.tiles.wake_at(i) <= now {
+            // Resident tiles read `Cycle::MAX`, which is never due.
+            if self.wake_at[i] <= now {
                 self.wake_tile(i, now, tile);
             }
         }
-        self.tiles.recompute_min();
+        self.recompute_min();
     }
 
     /// Wakes every parked tile (epoch boundary / advance settle): the
     /// heartbeat and external readers observe fully-accrued state. One
     /// comparison when nothing is parked.
     pub fn wake_all(&mut self, through: Cycle, tiles: &mut [Tile]) {
-        if self.tiles.parked_count() == 0 {
+        if self.parked == 0 {
             return;
         }
         for (i, tile) in tiles.iter_mut().enumerate() {
             self.wake_tile(i, through, tile);
         }
-        self.tiles.recompute_min();
+        self.recompute_min();
     }
 
-    /// True when every tile is parked: the precondition that lets a
-    /// global jump be a pure clock bump for the tiles (each parked
-    /// tile's owed window simply grows).
-    pub fn fully_parked(&self) -> bool {
-        self.tiles.parked_count() == self.tiles.len()
+    /// True when `System::advance` should probe the horizon at `now`:
+    /// skipping is on and the backoff since the last failed probe has
+    /// run out.
+    pub fn probe_due(&self, now: Cycle) -> bool {
+        self.enabled && now >= self.probe_at
     }
 
-    /// Tile-cycles elided by tile-local parking so far (diagnostic).
-    pub fn tile_cycles(&self) -> u64 {
-        self.tile_cycles
+    /// A probe at `now` found something due: the next probe waits the
+    /// current backoff, which then doubles up to `PROBE_BACKOFF_CAP`.
+    pub fn probe_failed(&mut self, now: Cycle) {
+        self.probe_at = now + self.probe_backoff;
+        self.probe_backoff = (self.probe_backoff * 2).min(PROBE_BACKOFF_CAP);
+    }
+
+    /// Counts a global jump of `cycles` over `live_mcs` controllers (those
+    /// not frozen by an mc-stall window) and resets the probe backoff, so
+    /// the cycle the jump lands on is probed again. A jump requires every
+    /// tile parked: each parked tile's owed window simply grows with the
+    /// clock.
+    pub fn record_jump(&mut self, cycles: Cycle, live_mcs: u64) {
+        debug_assert!(
+            self.parked == self.wake_at.len(),
+            "a global jump requires every tile parked"
+        );
+        self.cycles_skipped += cycles;
+        self.mc_cycles_skipped += cycles * live_mcs;
+        self.probe_backoff = 1;
+    }
+
+    /// Cycles elided by global jumps so far (diagnostic).
+    pub fn cycles_skipped(&self) -> u64 {
+        self.cycles_skipped
+    }
+
+    /// Tile-cycles elided by tile-local parking so far, global jumps
+    /// included (diagnostic).
+    pub fn tile_cycles_skipped(&self) -> u64 {
+        self.tile_cycles_skipped
+    }
+
+    /// Controller-cycles accrued by global jumps so far (diagnostic).
+    pub fn mc_cycles_skipped(&self) -> u64 {
+        self.mc_cycles_skipped
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn domain_park_unpark_owed_cycles() {
+        let mut d = DomainSched::new(4, true);
+        assert_eq!(d.parked, 0);
+        assert!(!d.tile_parked(2));
+
+        d.park(2, 10, Some(50));
+        assert!(d.tile_parked(2));
+        assert_eq!(d.wake_at[2], 50);
+        assert_eq!(d.parked, 1);
+
+        // Owed covers [owed_from, through): cycles 10..37.
+        assert_eq!(d.unpark(2, 37), 27);
+        assert!(!d.tile_parked(2));
+        assert_eq!(d.parked, 0);
+
+        // Unparking a resident tile is a free no-op.
+        assert_eq!(d.unpark(2, 99), 0);
+
+        // A wake-less park only wakes via explicit edges; owed still counts.
+        d.park(0, 100, None);
+        assert_eq!(d.wake_at[0], Cycle::MAX);
+        d.recompute_min();
+        assert!(!d.maybe_due(u64::MAX - 1), "a wake-less park never reads as due");
+        assert_eq!(d.unpark(0, 100), 0, "immediate wake owes nothing");
+    }
+
+    #[test]
+    fn resident_set_is_the_unparked_domains_in_ascending_order() {
+        for n in [1usize, 63, 64, 65, 256] {
+            let mut rng = n as u64;
+            let mut next = move || {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                rng >> 33
+            };
+            let mut d = DomainSched::new(n, true);
+            for step in 0..4 * n as u64 + 64 {
+                let k = next() as usize % n;
+                if d.tile_parked(k) {
+                    d.unpark(k, step);
+                } else {
+                    d.park(k, step, Some(step + 1));
+                }
+                let fresh: Vec<usize> = (0..n).filter(|&k| !d.tile_parked(k)).collect();
+                let mut walked = Vec::new();
+                let mut from = 0;
+                while let Some(k) = d.next_resident_tile(from, n) {
+                    walked.push(k);
+                    from = k + 1;
+                }
+                assert_eq!(walked, fresh, "n = {n}, step {step}");
+                // A sub-range walk sees exactly the resident tiles in it.
+                let (lo, hi) = (next() as usize % n, next() as usize % (n + 1));
+                let mut sub = Vec::new();
+                let mut from = lo;
+                while let Some(k) = d.next_resident_tile(from, hi) {
+                    sub.push(k);
+                    from = k + 1;
+                }
+                let want: Vec<usize> =
+                    fresh.iter().copied().filter(|&k| lo <= k && k < hi).collect();
+                assert_eq!(sub, want, "n = {n}, range {lo}..{hi}");
+            }
+            assert_eq!(d.next_resident_tile(n, n + 5), None, "past the end");
+        }
+    }
+
+    #[test]
+    fn domain_maybe_due_is_a_conservative_bound() {
+        let mut d = DomainSched::new(3, true);
+        d.park(0, 0, Some(20));
+        d.park(1, 0, Some(80));
+        assert!(!d.maybe_due(19));
+        assert!(d.maybe_due(20));
+
+        // Unpark the min holder: the bound goes stale-low — spurious
+        // `true` is allowed, `false` while something is due is not.
+        d.unpark(0, 20);
+        assert!(d.maybe_due(20), "stale-low bound is conservative");
+        d.recompute_min();
+        assert!(!d.maybe_due(20), "recompute tightens the bound");
+        assert!(d.maybe_due(80));
+    }
+
+    /// The memoization contract, exercised by a seeded op sequence: the
+    /// dirty-flagged cache (`maybe_due` / `wake_at`) must answer
+    /// identically to fresh recomputation over a naive reference model
+    /// at every step.
+    #[test]
+    fn domain_memo_matches_fresh_recompute_under_seeded_sequences() {
+        const N: usize = 8;
+        for seed in [3u64, 0x9e3779b9, 0xdeadbeef] {
+            let mut rng = seed;
+            let mut next = move || {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                rng >> 33
+            };
+
+            let mut d = DomainSched::new(N, true);
+            // Reference model: parked[k] = Some((owed_from, wake_at)).
+            let mut reference: Vec<Option<(Cycle, Cycle)>> = vec![None; N];
+            let mut now: Cycle = 0;
+
+            for _ in 0..2000 {
+                let k = (next() as usize) % N;
+                match next() % 4 {
+                    0 => {
+                        // Park a resident tile at a future/no wake.
+                        if reference[k].is_none() {
+                            let wake = match next() % 3 {
+                                0 => None,
+                                _ => Some(now + 1 + next() % 64),
+                            };
+                            d.park(k, now, wake);
+                            reference[k] = Some((now, wake.unwrap_or(Cycle::MAX)));
+                        }
+                    }
+                    1 => {
+                        // Wake edge: unpark through `now`.
+                        let owed = d.unpark(k, now);
+                        let expect =
+                            reference[k].take().map_or(0, |(from, _)| now.saturating_sub(from));
+                        assert_eq!(owed, expect, "owed cycles diverged (seed {seed})");
+                    }
+                    2 => now += next() % 16,
+                    _ => d.recompute_min(),
+                }
+
+                // Fresh recomputation over the reference model.
+                for (k, slot) in reference.iter().enumerate() {
+                    let fresh = slot.map_or(Cycle::MAX, |(_, wake)| wake);
+                    assert_eq!(
+                        d.tile_parked(k),
+                        slot.is_some(),
+                        "park state diverged (seed {seed})"
+                    );
+                    if slot.is_some() {
+                        assert_eq!(d.wake_at[k], fresh, "cached wake diverged (seed {seed})");
+                    }
+                }
+                let fresh_due = reference.iter().flatten().any(|&(_, wake)| wake <= now);
+                if fresh_due {
+                    assert!(d.maybe_due(now), "memo missed a due wake (seed {seed})");
+                }
+                d.recompute_min();
+                assert_eq!(
+                    d.maybe_due(now),
+                    fresh_due,
+                    "recomputed memo diverged from fresh answer (seed {seed})"
+                );
+            }
+        }
     }
 }

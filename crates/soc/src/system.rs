@@ -58,22 +58,12 @@ pub struct System {
     monitors: Vec<Box<dyn Governor>>,
     rategen: RateGenerator,
     metrics: Metrics,
-    /// Park/unpark scheduler over the per-tile skip domains (see
-    /// [`crate::sched::DomainSched`]), and the owner of the skip switch
-    /// ([`SystemBuilder::skip`]). Structurally inert when skipping is
-    /// off: nothing ever parks, so every wake is a no-op. Controllers
-    /// are not domains: they step every stepped cycle.
+    /// The one owner of cycle skipping (see [`crate::sched::DomainSched`]):
+    /// per-tile park state, probe pacing, the skip counters and the skip
+    /// switch ([`SystemBuilder::skip`]). Structurally inert when skipping
+    /// is off: nothing ever parks and nothing probes. Controllers are not
+    /// domains: they step every stepped cycle.
     sched: DomainSched,
-    /// Next cycle at which [`System::advance`] probes the horizon. Purely
-    /// a host-side pacing knob: simulated behavior never depends on it.
-    probe_at: Cycle,
-    /// Current probe backoff in cycles (doubles per failed probe, resets
-    /// to 1 on every successful skip).
-    probe_backoff: u64,
-    /// Cap on `probe_backoff` ([`SystemBuilder::probe_backoff_cap`];
-    /// default [`System::DEFAULT_PROBE_BACKOFF_CAP`]). Host-side pacing
-    /// only — simulated behavior never depends on it.
-    probe_cap: u64,
     epochs_run: usize,
     /// Runtime invariant checker: evaluates the conservation, bound,
     /// monotonicity and liveness laws at every epoch boundary, panicking
@@ -115,20 +105,6 @@ pub struct System {
 const SAT_HISTORY_MAX: usize = 64;
 
 impl System {
-    /// Default cap on the horizon probe backoff (see `System::advance`;
-    /// override with [`SystemBuilder::probe_backoff_cap`]). Small enough
-    /// that the start of a quiescent window is never missed by more than
-    /// a handful of naive steps, large enough that a saturated machine
-    /// pays for at most one probe every eight cycles. The committed
-    /// `sim_throughput` backoff sweep, taken while controllers still
-    /// parked, read 876,842 cycles/s at cap 1, 995,717 at cap 2 and
-    /// 1,350,315 at cap 8 on the baseline: cap 1 cost ~35% and cap 2
-    /// ~26%. That sweep is a single run; medians of eight full runs on
-    /// a 2-vCPU Xeon VM, without controller parking, read 1.01M, 1.14M
-    /// and 1.16M. Small caps cost speed and no larger cap clearly beats
-    /// 8, so the historical value stands.
-    pub const DEFAULT_PROBE_BACKOFF_CAP: u64 = 8;
-
     /// Current simulated cycle.
     pub fn now(&self) -> Cycle {
         self.now
@@ -159,7 +135,7 @@ impl System {
     /// trace records and experiment reports, so skip-on and skip-off runs
     /// stay byte-identical. See `docs/PERFORMANCE.md`.
     pub fn cycles_skipped(&self) -> u64 {
-        self.metrics.cycles_skipped
+        self.sched.cycles_skipped()
     }
 
     /// Tile-cycles elided by tile-local parking (always zero when
@@ -169,7 +145,7 @@ impl System {
     /// only, like [`System::cycles_skipped`]: absent from every
     /// artifact, so skip-on and skip-off runs stay byte-identical.
     pub fn tile_cycles_skipped(&self) -> u64 {
-        self.sched.tile_cycles()
+        self.sched.tile_cycles_skipped()
     }
 
     /// Controller-cycles accrued by global jumps instead of stepped
@@ -178,7 +154,7 @@ impl System {
     /// Controllers never park, so outside jumps every live controller
     /// steps. Diagnostic only; see [`System::tile_cycles_skipped`].
     pub fn mc_cycles_skipped(&self) -> u64 {
-        self.metrics.mc_cycles_skipped
+        self.sched.mc_cycles_skipped()
     }
 
     /// Whether quiescence-aware cycle skipping is active
@@ -360,33 +336,26 @@ impl System {
     /// update, fault windows, invariant checks — observes the exact
     /// boundary sequence naive stepping would.
     ///
-    /// Probe backoff: on a saturated machine the horizon is `now` nearly
-    /// every cycle, and probing it would be pure overhead. Each failed
-    /// probe doubles the distance to the next one (capped at
-    /// [`System::DEFAULT_PROBE_BACKOFF_CAP`] unless the builder overrides
-    /// it); a successful skip resets it.
-    /// Un-probed cycles are stepped naively, which is always correct —
-    /// backoff trades a few missed skip opportunities at the start of a
-    /// quiescent window for near-zero probe cost in the busy regime, and
-    /// never affects simulated behavior.
+    /// The scheduler paces the probes: after a failed one, the next waits
+    /// a backoff that doubles up to a small cap, and a jump resets it (see
+    /// [`crate::sched::DomainSched`]). Un-probed cycles are stepped
+    /// naively, which is always correct, so pacing never affects
+    /// simulated behavior.
     fn advance(&mut self, until: Cycle) {
         while self.now < until {
-            if self.sched.enabled() && self.now >= self.probe_at {
+            if self.sched.probe_due(self.now) {
                 let h = self.horizon();
                 if h != Some(self.now) {
                     let e = self.cfg.epoch_cycles;
                     let boundary = (self.now / e + 1) * e;
                     let target = h.unwrap_or(boundary).min(boundary).min(until);
                     self.apply_skip(target - self.now);
-                    self.probe_backoff = 1;
-                    self.probe_at = self.now;
                     if self.now.is_multiple_of(e) {
                         self.on_epoch_boundary();
                     }
                     continue;
                 }
-                self.probe_at = self.now + self.probe_backoff;
-                self.probe_backoff = (self.probe_backoff * 2).min(self.probe_cap);
+                self.sched.probe_failed(self.now);
             }
             self.step();
             if self.now.is_multiple_of(self.cfg.epoch_cycles) {
@@ -416,14 +385,10 @@ impl System {
     /// ordered cheapest-first.
     ///
     /// Controllers fold their `next_event` answer directly; they never
-    /// park. The probe is where tiles **park** (see
-    /// [`crate::sched::DomainSched`]): a tile whose `next_event` answer
-    /// lies in the future is inert on its own — even if some *other*
-    /// component forces this probe to answer "due" — so it is handed to
-    /// the domain scheduler with that answer as its cached wake time.
-    /// Parked tiles fold their cached answer here instead of
-    /// recomputing (the memoization), and a parked tile whose cached
-    /// wake has arrived reads as due: the step loop's due-scan wakes it.
+    /// park. The tiles come last, through
+    /// [`crate::sched::DomainSched::probe_tiles`]: parked tiles fold
+    /// their cached wake, and each resident tile whose `next_event`
+    /// lies in the future parks there.
     fn horizon(&mut self) -> Option<Cycle> {
         use pabst_simkit::horizon::Horizon;
         let now = self.now;
@@ -450,18 +415,8 @@ impl System {
                 return Some(now);
             }
         }
-        for (i, tile) in self.tiles.iter().enumerate() {
-            if self.sched.tile_parked(i) {
-                if h.merge_due(self.sched.tile_wake(i), now) {
-                    return Some(now);
-                }
-                continue;
-            }
-            let ev = tile.next_event(now);
-            if h.merge_due(ev, now) {
-                return Some(now);
-            }
-            self.sched.park_tile(i, now, ev);
+        if self.sched.probe_tiles(now, &self.tiles, &mut h) {
+            return Some(now);
         }
         h.get()
     }
@@ -472,18 +427,19 @@ impl System {
     /// the clock and are batch-accrued at their next wake edge. Each
     /// controller not frozen by an mc-stall window is charged here the
     /// occupancy samples its `cycles` naive steps would have taken (its
-    /// read queue cannot change while nothing is due).
+    /// read queue cannot change while nothing is due). The scheduler
+    /// counts the jump.
     fn apply_skip(&mut self, cycles: Cycle) {
         debug_assert!(cycles > 0, "a zero-length skip is a stepping bug");
-        debug_assert!(self.sched.fully_parked(), "a global jump requires every tile parked");
+        let mut live_mcs = 0;
         for (mc, &stalled) in self.mcs.iter_mut().zip(&self.mc_stalled) {
             if !stalled {
                 mc.accrue_skip(cycles);
-                self.metrics.mc_cycles_skipped += cycles;
+                live_mcs += 1;
             }
         }
+        self.sched.record_jump(cycles, live_mcs);
         self.now += cycles;
-        self.metrics.cycles_skipped += cycles;
     }
 
     /// One cycle of the whole machine.
@@ -1033,7 +989,6 @@ pub struct SystemBuilder {
     l3_ways: Vec<Option<(usize, usize)>>,
     fault_plan: Option<FaultPlan>,
     skip: bool,
-    probe_cap: Option<u64>,
 }
 
 impl SystemBuilder {
@@ -1048,21 +1003,7 @@ impl SystemBuilder {
             l3_ways: Vec::new(),
             fault_plan: None,
             skip: true,
-            probe_cap: None,
         }
-    }
-
-    /// Overrides the horizon probe backoff cap (default
-    /// [`System::DEFAULT_PROBE_BACKOFF_CAP`]). Purely a host-side pacing
-    /// knob for the skip machinery: larger caps probe a saturated
-    /// machine less often, smaller caps catch the start of a quiescent
-    /// window sooner. Simulated behavior is byte-identical at any value
-    /// (the `sim_throughput` harness sweeps it).
-    ///
-    /// A cap of 0 is clamped to 1 (probe every cycle).
-    pub fn probe_backoff_cap(mut self, cap: u64) -> Self {
-        self.probe_cap = Some(cap.max(1));
-        self
     }
 
     /// Turns quiescence-aware cycle skipping on (the default) or off.
@@ -1197,9 +1138,6 @@ impl SystemBuilder {
             shares,
             now: 0,
             sched: DomainSched::new(cores, self.skip),
-            probe_at: 0,
-            probe_backoff: 1,
-            probe_cap: self.probe_cap.unwrap_or(System::DEFAULT_PROBE_BACKOFF_CAP),
             epochs_run: 0,
             invariants: InvariantChecker::new(self.cfg.invariants),
             trace_sinks: Vec::new(),
@@ -1751,6 +1689,46 @@ mod tests {
             mc_jumped < jumped * mcs,
             "a stalled controller accrues nothing: {mc_jumped} vs {jumped}"
         );
+    }
+
+    #[test]
+    fn advance_settles_parked_tiles_mid_epoch() {
+        // The advance-settle wake edge: `run_cycles` may stop mid-epoch
+        // with tiles parked, and the return wakes them all with their
+        // owed bookkeeping accrued, so readers see exactly the state
+        // naive stepping leaves. Single-chain chasers park between misses.
+        let chasers = |class: u64| -> Vec<Box<dyn Workload>> {
+            (0..2u64)
+                .map(|i| {
+                    let region = Region::new((class << 40) + (i << 32), 1 << 16);
+                    Box::new(ChaserGen::new(region, 1, class * 2 + i)) as Box<dyn Workload>
+                })
+                .collect()
+        };
+        let build = |skip: bool| {
+            SystemBuilder::new(SystemConfig::small_test(), RegulationMode::Pabst)
+                .class(3, chasers(0))
+                .class(1, chasers(1))
+                .skip(skip)
+                .build()
+                .unwrap()
+        };
+        let observe = |sys: &System| -> Vec<(pabst_cpu::CoreStats, Vec<u64>)> {
+            let throttled = |t: &Tile| t.mem.pacers().iter().map(|p| p.throttled()).collect();
+            sys.tiles().iter().map(|t| (t.core.stats(), throttled(t))).collect()
+        };
+        let (mut fast, mut naive) = (build(true), build(false));
+        for _ in 0..5 {
+            fast.run_cycles(777);
+            naive.run_cycles(777);
+            let now = fast.now();
+            assert!(!now.is_multiple_of(fast.cfg.epoch_cycles), "cycle {now} is mid-epoch");
+            for i in 0..fast.tiles().len() {
+                assert!(!fast.sched.tile_parked(i), "tile {i} parked after return at {now}");
+            }
+            assert_eq!(observe(&fast), observe(&naive), "tile state diverged at cycle {now}");
+        }
+        assert!(fast.tile_cycles_skipped() > 0, "chasers must park between misses");
     }
 
     #[test]

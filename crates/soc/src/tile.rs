@@ -111,17 +111,19 @@ impl TileMem {
         }
     }
 
-    /// The pacer responsible for `line` (per-MC mode selects by the home
-    /// controller).
-    fn pacer_for(&mut self, line: LineAddr) -> Option<&mut Pacer> {
+    /// Index of the pacer responsible for `line`: the only one, or in
+    /// per-MC mode the home controller's. `None` without pacers.
+    fn pacer_index(&self, line: LineAddr) -> Option<usize> {
         match self.pacers.len() {
             0 => None,
-            1 => self.pacers.first_mut(),
-            _ => {
-                let idx = self.channel_map.channel_of(line, self.mcs);
-                self.pacers.get_mut(idx)
-            }
+            1 => Some(0),
+            _ => Some(self.channel_map.channel_of(line, self.mcs)),
         }
+    }
+
+    /// The pacer responsible for `line` (see [`TileMem::pacer_index`]).
+    fn pacer_for(&mut self, line: LineAddr) -> Option<&mut Pacer> {
+        self.pacer_index(line).and_then(|k| self.pacers.get_mut(k))
     }
 
     /// Handles a fill returning from the L3/memory: fills L2 (and L1),
@@ -222,15 +224,6 @@ impl TileMem {
         Some(head)
     }
 
-    /// Read-only variant of [`TileMem::pacer_for`], for horizon queries.
-    fn pacer_ref_for(&self, line: LineAddr) -> Option<&Pacer> {
-        match self.pacers.len() {
-            0 => None,
-            1 => self.pacers.first(),
-            _ => self.pacers.get(self.channel_map.channel_of(line, self.mcs)),
-        }
-    }
-
     /// The earliest cycle a [`TileMem::try_inject`] call can change state:
     /// `None` when nothing is queued, `Some(now)` when the head request
     /// could issue this cycle (no pacer, unthrottled, or period already
@@ -240,7 +233,7 @@ impl TileMem {
     /// [`TileMem::accrue_throttle_skip`].
     pub fn next_inject_at(&self, now: Cycle) -> Option<Cycle> {
         let head = self.inject_q.front()?;
-        match self.pacer_ref_for(head.line) {
+        match self.pacer_index(head.line).and_then(|k| self.pacers.get(k)) {
             None => Some(now),
             Some(p) => Some(p.next_issue_at().max(now)),
         }
