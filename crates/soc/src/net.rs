@@ -12,7 +12,8 @@
 //! Under the uniform defaults every delay table collapses to the fixed
 //! `l3_lat` / `resp_lat` constants and the staging delay to zero.
 //! [`Interconnect::next_event`] feeds the system's horizon min-combine,
-//! keeping cycle skipping sound.
+//! keeping cycle skipping sound. It is computed fresh on each probe: the
+//! probe runs only while every tile is parked, so no memo is kept.
 
 use std::collections::VecDeque;
 
@@ -78,13 +79,6 @@ pub struct Interconnect {
     mc_req_lat: Vec<Cycle>,
     topo: Topology,
     mcs: usize,
-    /// Memoized [`Interconnect::next_event`] answer; `None` means dirty
-    /// (some queue mutated since the last probe). Every mutating method
-    /// that can move the horizon clears it; probes hit the cache instead
-    /// of re-walking the staging queues. A cached *due* answer
-    /// (`t <= now`) stays due until a mutation lands, so it is
-    /// normalized to `Some(now)` on read rather than recomputed.
-    cached_next: Option<Option<Cycle>>,
 }
 
 impl Interconnect {
@@ -137,7 +131,6 @@ impl Interconnect {
             mc_req_lat,
             topo: t,
             mcs: cfg.mcs,
-            cached_next: None,
         }
     }
 
@@ -151,16 +144,11 @@ impl Interconnect {
     /// distance delay.
     pub(crate) fn send_request(&mut self, now: Cycle, req: L3Req) {
         self.req_net.push(now + self.req_lat[req.tile], req);
-        self.cached_next = None;
     }
 
     /// Pops the next request that has reached the L3 by `now`.
     pub(crate) fn pop_request(&mut self, now: Cycle) -> Option<L3Req> {
-        let popped = self.req_net.pop_ready(now);
-        if popped.is_some() {
-            self.cached_next = None;
-        }
-        popped
+        self.req_net.pop_ready(now)
     }
 
     /// True when requests are in flight toward the L3.
@@ -171,13 +159,11 @@ impl Interconnect {
     /// Sends a shared-cache (L3) response back to its tile.
     pub(crate) fn send_l3_response(&mut self, now: Cycle, resp: TileResp) {
         self.resp_net.push(now + self.l3_resp_lat[resp.tile], resp);
-        self.cached_next = None;
     }
 
     /// Sends a memory-fill response from controller `mc` back to its tile.
     pub(crate) fn send_mc_response(&mut self, now: Cycle, mc: usize, resp: TileResp) {
         self.resp_net.push(now + self.mc_resp_lat[mc][resp.tile], resp);
-        self.cached_next = None;
     }
 
     /// True when responses are in flight toward the tiles.
@@ -187,11 +173,7 @@ impl Interconnect {
 
     /// Pops the next response that has reached its tile by `now`.
     pub(crate) fn pop_response(&mut self, now: Cycle) -> Option<TileResp> {
-        let popped = self.resp_net.pop_ready(now);
-        if popped.is_some() {
-            self.cached_next = None;
-        }
-        popped
+        self.resp_net.pop_ready(now)
     }
 
     /// Stages a memory request toward controller `mc`'s ingress; it
@@ -199,7 +181,6 @@ impl Interconnect {
     pub(crate) fn stage(&mut self, now: Cycle, mc: usize, req: MemReq) {
         self.staged[mc][req.class.index()].push_back((now + self.mc_req_lat[mc], req));
         self.staged_pending[mc] += 1;
-        self.cached_next = None;
     }
 
     /// Drains staged requests into MC ingress ports, round-robin across
@@ -211,7 +192,6 @@ impl Interconnect {
     /// admissions, no more, no less, regardless of the arbiter inside the
     /// controller. Bounded in practice by the L2/L3 MSHR budgets.
     pub(crate) fn drain_into(&mut self, now: Cycle, mcs: &mut [MemController]) {
-        let mut admitted = false;
         for (k, queues) in self.staged.iter_mut().enumerate() {
             if self.staged_pending[k] == 0 {
                 continue;
@@ -234,7 +214,6 @@ impl Interconnect {
                         self.staged_rr[k] = (c + 1) % n;
                         budget -= 1;
                         progressed = true;
-                        admitted = true;
                         break;
                     }
                 }
@@ -242,9 +221,6 @@ impl Interconnect {
                     break;
                 }
             }
-        }
-        if admitted {
-            self.cached_next = None;
         }
     }
 
@@ -293,26 +269,6 @@ impl Interconnect {
             }
         }
         h.get()
-    }
-
-    /// Memoized [`Interconnect::next_event`]: recomputes only when a
-    /// queue mutation has dirtied the cache since the last probe.
-    ///
-    /// With no mutations the underlying ready times are constants, so a
-    /// cached *future* answer stays exact as `now` advances and a cached
-    /// *due* answer stays due — it is clamped to `Some(now)` rather than
-    /// recomputed (the fresh answer would also be due, and "due" is all
-    /// the probe loop acts on).
-    pub(crate) fn next_event_memo(&mut self, now: Cycle) -> Option<Cycle> {
-        if let Some(cached) = self.cached_next {
-            return match cached {
-                Some(t) if t <= now => Some(now),
-                other => other,
-            };
-        }
-        let fresh = self.next_event(now);
-        self.cached_next = Some(fresh);
-        fresh
     }
 }
 
@@ -380,39 +336,6 @@ mod tests {
         assert!(hop > 0);
         assert_eq!(net.next_event(0), Some(hop), "staged head waits out its hop");
         assert_eq!(net.next_event(hop), Some(hop), "then acts every cycle");
-    }
-
-    #[test]
-    fn memoized_next_event_tracks_mutations() {
-        let cfg = SystemConfig::mesh_64();
-        let t = cfg.topology;
-        let mut net = Interconnect::new(&cfg, 1);
-        // Empty network: memo and fresh agree, and the cache holds.
-        assert_eq!(net.next_event_memo(0), net.next_event(0));
-        assert_eq!(net.next_event_memo(5), None);
-        // A mutation dirties the cache; the memo picks up the new event.
-        net.send_request(0, l3req(0));
-        let fresh = net.next_event(0);
-        assert_eq!(net.next_event_memo(0), fresh);
-        // A cached future answer stays exact as long as nothing mutates...
-        assert_eq!(net.next_event_memo(1), fresh);
-        let ready = fresh.expect("one request in flight");
-        // ...and once due, the cached answer clamps to `now` — due stays
-        // due until someone pops it, even cycles later. The fresh probe
-        // reports the raw (past) ready time; both read as due, which is
-        // all the probe loop acts on.
-        assert_eq!(net.next_event_memo(ready), Some(ready));
-        assert_eq!(net.next_event_memo(ready + 3), Some(ready + 3));
-        assert!(net.next_event(ready + 3).is_some_and(|t| t <= ready + 3));
-        // Popping the due head invalidates; the memo goes quiet again.
-        assert!(net.pop_request(ready + 3).is_some());
-        assert_eq!(net.next_event_memo(ready + 3), net.next_event(ready + 3));
-        // Staged heads flow through the same cache: stage dirties, and
-        // after the L3->MC hop the staged head reads as due.
-        net.stage(0, 0, req(1, 0));
-        let hop = t.hop_lat * Topology::hops(t.l3_pos(), t.mc_pos(0, cfg.mcs));
-        assert_eq!(net.next_event_memo(0), Some(hop));
-        assert_eq!(net.next_event_memo(hop + 2), Some(hop + 2));
     }
 
     #[test]

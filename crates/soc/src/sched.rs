@@ -10,11 +10,18 @@
 //! `accrue_skip` paths the global jump uses.
 //!
 //! [`DomainSched`] holds everything the skip decision needs: the park
-//! state of every tile, both park sites (the core stage's
-//! [`DomainSched::park_if_idle`] and the probe's
-//! [`DomainSched::probe_tiles`]), the wake edges below, the pacing of
-//! the horizon probe, and the host-side skip counters. None of it is
-//! simulated state: skip-on and skip-off runs are byte-identical.
+//! state of every tile, the one park site (the core stage's
+//! [`DomainSched::park_if_idle`]), the wake edges below, the gate and
+//! pacing of the horizon probe, and the host-side skip counters. None
+//! of it is simulated state: skip-on and skip-off runs are
+//! byte-identical.
+//!
+//! The global jump is the degenerate case of parking: `System::advance`
+//! probes the horizon only once every tile has parked itself
+//! ([`DomainSched::probe_due`], one comparison), and the probe folds the
+//! tiles in as one number, their exact earliest wake
+//! ([`DomainSched::earliest_wake`]). A cycle with a resident tile is
+//! stepped without a probe.
 //!
 //! Memory controllers are not skip domains. A controller with no work
 //! steps as one SAT-monitor occupancy sample, so parking it would save
@@ -56,11 +63,13 @@
 //!
 //! # Probe pacing
 //!
-//! On a saturated machine the horizon is `now` nearly every cycle, and
-//! probing it would be pure overhead. Each failed probe doubles the
-//! distance to the next one, up to a fixed cap of 8 cycles; a global
-//! jump resets it. Un-probed cycles are stepped naively, which is
-//! always correct, so the pacing never affects simulated behavior.
+//! With every tile parked the horizon can still be `now` every cycle
+//! (a busy controller, traffic in flight), and probing it then would be
+//! pure overhead. Each failed probe doubles the distance to the next
+//! one, up to a fixed cap of 8 cycles; a global jump resets it. A cycle
+//! with a resident tile neither probes nor grows the backoff. Un-probed
+//! cycles are stepped naively, which is always correct, so the pacing
+//! never affects simulated behavior.
 //!
 //! The scheduler also holds the one skip switch (`SystemBuilder::skip`;
 //! `--no-skip` on the bench binaries). Off, nothing parks and
@@ -74,11 +83,11 @@ use crate::tile::Tile;
 
 /// Cap on the probe backoff, in cycles. Small enough that the start of
 /// a quiescent window is never missed by more than a handful of naive
-/// steps, large enough that a saturated machine pays for at most one
-/// probe every eight cycles. Medians of eight full `sim_throughput` runs
-/// on a 2-vCPU Xeon VM read 1.01M, 1.14M and 1.16M cycles/s on the
-/// baseline at caps 1, 2 and 8: small caps cost speed, and no larger cap
-/// clearly beats 8.
+/// steps, large enough that a machine whose tiles are all parked behind
+/// a busy controller pays for at most one probe every eight cycles.
+/// Against no backoff (a cap of 1), four alternating 15 s perfbench
+/// pairs on a 2-vCPU Xeon VM read `sim_cycles_per_s` medians x1.02 on
+/// `read_stream` and x1.03 on `chaser_idle`, the cap winning every pair.
 const PROBE_BACKOFF_CAP: u64 = 8;
 
 /// The skip scheduler: park/unpark state of the tile skip domains,
@@ -93,8 +102,9 @@ const PROBE_BACKOFF_CAP: u64 = 8;
 /// time, and every mutation that could invalidate it (a wake edge
 /// above) routes through an unpark. `min_wake` memoizes the minimum
 /// `wake_at` as a *lower bound*: parking folds the new wake in eagerly,
-/// unparking leaves it stale-low. A stale bound can only cause an extra
-/// due-scan, never a missed wake.
+/// unparking the tile that holds it leaves it stale-low (`min_stale`).
+/// A stale bound can only cause an extra due-scan, never a missed wake;
+/// the probe tightens it before reading it.
 #[derive(Debug)]
 pub struct DomainSched {
     /// The skip switch (see the module doc).
@@ -109,6 +119,9 @@ pub struct DomainSched {
     parked: usize,
     /// Lower bound on `wake_at` over the parked tiles.
     min_wake: Cycle,
+    /// True when an unpark may have left `min_wake` below the exact
+    /// minimum; a rescan (`recompute_min`) clears it.
+    min_stale: bool,
     /// Bitset of the resident (not parked) tiles, bit `k` of word
     /// `k / 64`, so the step loops visit only live tiles.
     resident: Vec<u64>,
@@ -139,6 +152,7 @@ impl DomainSched {
             owed_from: vec![0; tiles],
             parked: 0,
             min_wake: Cycle::MAX,
+            min_stale: false,
             resident,
             probe_at: 0,
             probe_backoff: 1,
@@ -202,6 +216,7 @@ impl DomainSched {
         if !self.tile_parked(i) {
             return 0;
         }
+        self.min_stale |= self.wake_at[i] == self.min_wake;
         self.wake_at[i] = Cycle::MAX;
         self.parked -= 1;
         self.resident[i / 64] |= 1 << (i % 64);
@@ -225,6 +240,18 @@ impl DomainSched {
         } else {
             self.wake_at.iter().copied().min().unwrap_or(Cycle::MAX)
         };
+        self.min_stale = false;
+    }
+
+    /// The exact earliest cached wake over the parked tiles (`Cycle::MAX`
+    /// when none has one): the tiles' share of the horizon probe. The
+    /// memo is rescanned only when an unpark has left it stale-low, so a
+    /// jump lands on the wake itself, not on a bound below it.
+    pub fn earliest_wake(&mut self) -> Cycle {
+        if self.min_stale {
+            self.recompute_min();
+        }
+        self.min_wake
     }
 
     /// True when tile `i`'s core provably cannot retire, issue, or
@@ -251,31 +278,6 @@ impl DomainSched {
             self.park(i, now + 1, th);
         }
         true
-    }
-
-    /// The horizon probe's tile walk, in index order. A parked tile
-    /// folds its cached wake into `h` instead of recomputing (the
-    /// memoization); a resident tile folds its `next_event` and, when
-    /// that lies in the future, parks with it as the cached wake — it is
-    /// inert on its own even if some *other* component makes this probe
-    /// answer "due". Returns true, ending the walk, at the first tile
-    /// due at `now` (a parked one is then woken by the step loop's
-    /// due-scan).
-    pub fn probe_tiles(&mut self, now: Cycle, tiles: &[Tile], h: &mut Horizon) -> bool {
-        for (i, tile) in tiles.iter().enumerate() {
-            if self.tile_parked(i) {
-                if h.merge_due(Some(self.wake_at[i]), now) {
-                    return true;
-                }
-                continue;
-            }
-            let ev = tile.next_event(now);
-            if h.merge_due(ev, now) {
-                return true;
-            }
-            self.park(i, now, ev);
-        }
-        false
     }
 
     /// Wakes tile `i` with bookkeeping accrued through (excluding)
@@ -321,10 +323,11 @@ impl DomainSched {
     }
 
     /// True when `System::advance` should probe the horizon at `now`:
-    /// skipping is on and the backoff since the last failed probe has
-    /// run out.
+    /// skipping is on, every tile has parked itself, and the backoff
+    /// since the last failed probe has run out. With a tile resident no
+    /// jump is possible, so the probe is not taken.
     pub fn probe_due(&self, now: Cycle) -> bool {
-        self.enabled && now >= self.probe_at
+        self.enabled && self.parked == self.wake_at.len() && now >= self.probe_at
     }
 
     /// A probe at `now` found something due: the next probe waits the
@@ -336,9 +339,9 @@ impl DomainSched {
 
     /// Counts a global jump of `cycles` over `live_mcs` controllers (those
     /// not frozen by an mc-stall window) and resets the probe backoff, so
-    /// the cycle the jump lands on is probed again. A jump requires every
-    /// tile parked: each parked tile's owed window simply grows with the
-    /// clock.
+    /// the cycle the jump lands on is probed again. Every tile is parked
+    /// ([`DomainSched::probe_due`] gates the probe on it), so each owed
+    /// window simply grows with the clock.
     pub fn record_jump(&mut self, cycles: Cycle, live_mcs: u64) {
         debug_assert!(
             self.parked == self.wake_at.len(),
@@ -454,10 +457,48 @@ mod tests {
         assert!(d.maybe_due(80));
     }
 
+    #[test]
+    fn probe_waits_for_every_tile_parked_and_the_backoff() {
+        let mut d = DomainSched::new(3, true);
+        assert!(!d.probe_due(0), "resident tiles make a jump impossible");
+        d.park(0, 0, Some(40));
+        d.park(1, 0, None);
+        assert!(!d.probe_due(0), "one resident tile still blocks the probe");
+        d.park(2, 0, Some(90));
+        assert!(d.probe_due(0), "every tile parked and no backoff pending");
+
+        // Failed probes wait 1, 2, 4, then the cap of 8 cycles.
+        let mut now = 0;
+        for wait in [1, 2, 4, 8, 8] {
+            d.probe_failed(now);
+            assert!(!d.probe_due(now + wait - 1), "probe before the backoff ran out");
+            now += wait;
+            assert!(d.probe_due(now), "probe once the backoff ran out");
+        }
+
+        // A resident tile blocks the probe however long ago the last
+        // failure was; parking it again reopens the gate.
+        d.unpark(1, now);
+        assert!(!d.probe_due(now + 100));
+        d.park(1, now + 100, None);
+        assert!(d.probe_due(now + 100));
+
+        // A jump resets the backoff to one cycle.
+        d.record_jump(5, 1);
+        d.probe_failed(now + 105);
+        assert!(d.probe_due(now + 106));
+
+        // Skipping off: never a probe, even with every tile parked.
+        let mut off = DomainSched::new(2, false);
+        off.park(0, 0, Some(10));
+        off.park(1, 0, Some(10));
+        assert!(!off.probe_due(0) && !off.probe_due(1_000));
+    }
+
     /// The memoization contract, exercised by a seeded op sequence: the
-    /// dirty-flagged cache (`maybe_due` / `wake_at`) must answer
-    /// identically to fresh recomputation over a naive reference model
-    /// at every step.
+    /// dirty-flagged cache (`maybe_due` / `wake_at` / `earliest_wake`)
+    /// must answer identically to fresh recomputation over a naive
+    /// reference model at every step.
     #[test]
     fn domain_memo_matches_fresh_recompute_under_seeded_sequences() {
         const N: usize = 8;
@@ -514,6 +555,11 @@ mod tests {
                 if fresh_due {
                     assert!(d.maybe_due(now), "memo missed a due wake (seed {seed})");
                 }
+                // The probe's fold is exact even when an unpark above
+                // left the memo stale-low.
+                let fresh_min =
+                    reference.iter().flatten().map(|&(_, wake)| wake).min().unwrap_or(Cycle::MAX);
+                assert_eq!(d.earliest_wake(), fresh_min, "earliest wake diverged (seed {seed})");
                 d.recompute_min();
                 assert_eq!(
                     d.maybe_due(now),

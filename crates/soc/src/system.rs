@@ -59,10 +59,10 @@ pub struct System {
     rategen: RateGenerator,
     metrics: Metrics,
     /// The one owner of cycle skipping (see [`crate::sched::DomainSched`]):
-    /// per-tile park state, probe pacing, the skip counters and the skip
-    /// switch ([`SystemBuilder::skip`]). Structurally inert when skipping
-    /// is off: nothing ever parks and nothing probes. Controllers are not
-    /// domains: they step every stepped cycle.
+    /// per-tile park state, the probe gate and pacing, the skip counters
+    /// and the skip switch ([`SystemBuilder::skip`]). Structurally inert
+    /// when skipping is off: nothing ever parks and nothing probes.
+    /// Controllers are not domains: they step every stepped cycle.
     sched: DomainSched,
     epochs_run: usize,
     /// Runtime invariant checker: evaluates the conservation, bound,
@@ -336,11 +336,13 @@ impl System {
     /// update, fault windows, invariant checks — observes the exact
     /// boundary sequence naive stepping would.
     ///
-    /// The scheduler paces the probes: after a failed one, the next waits
-    /// a backoff that doubles up to a small cap, and a jump resets it (see
-    /// [`crate::sched::DomainSched`]). Un-probed cycles are stepped
-    /// naively, which is always correct, so pacing never affects
-    /// simulated behavior.
+    /// The scheduler gates and paces the probes: a probe is taken only
+    /// once every tile has parked itself in the core stage (a resident
+    /// tile makes a jump impossible), and after a failed one the next
+    /// waits a backoff that doubles up to a small cap, which a jump
+    /// resets (see [`crate::sched::DomainSched`]). Un-probed cycles are
+    /// stepped naively, which is always correct, so neither the gate nor
+    /// the pacing affects simulated behavior.
     fn advance(&mut self, until: Cycle) {
         while self.now < until {
             if self.sched.probe_due(self.now) {
@@ -364,7 +366,7 @@ impl System {
         }
         // Settle: callers (measurement marks, stats readers, reports) must
         // observe fully-accrued state, so no tile stays parked across a
-        // return. Tiles re-park at the next probe; behavior over the
+        // return. Tiles re-park in the core stage; behavior over the
         // parked window is already fixed, so settling is invisible.
         self.sched.wake_all(self.now, &mut self.tiles);
     }
@@ -381,23 +383,20 @@ impl System {
     /// changes state only when another component acts on it — and that
     /// component's own horizon already bounds the jump. A too-*early*
     /// horizon merely costs speed; only a too-late one could diverge, so
-    /// every check below short-circuits to `now` on any doubt. Checks are
-    /// ordered cheapest-first.
+    /// every check below short-circuits to `now` on any doubt.
     ///
     /// Controllers fold their `next_event` answer directly; they never
-    /// park. The tiles come last, through
-    /// [`crate::sched::DomainSched::probe_tiles`]: parked tiles fold
-    /// their cached wake, and each resident tile whose `next_event`
-    /// lies in the future parks there.
+    /// park. The probe runs only with every tile parked
+    /// ([`crate::sched::DomainSched::probe_due`]), so the tiles fold in
+    /// as one number: the scheduler's exact earliest cached wake.
     fn horizon(&mut self) -> Option<Cycle> {
         use pabst_simkit::horizon::Horizon;
         let now = self.now;
         let mut h = Horizon::new();
         // The interconnect: in-flight requests/responses wake at their
         // delivery cycle; a staged request past its hop delay drains (or
-        // bumps a reject counter) every cycle. Memoized: queue mutations
-        // dirty the cached answer.
-        if h.merge_due(self.net.next_event_memo(now), now) {
+        // bumps a reject counter) every cycle.
+        if h.merge_due(self.net.next_event(now), now) {
             return Some(now);
         }
         // An MSHR-refused miss whose retry can progress acts this cycle;
@@ -415,16 +414,16 @@ impl System {
                 return Some(now);
             }
         }
-        if self.sched.probe_tiles(now, &self.tiles, &mut h) {
+        if h.merge_due(Some(self.sched.earliest_wake()), now) {
             return Some(now);
         }
         h.get()
     }
 
     /// Fast-forwards `cycles` provably-dead cycles in one jump. A jump
-    /// only happens when the probe found nothing due, which means it
-    /// parked every tile: their owed-bookkeeping windows simply grow with
-    /// the clock and are batch-accrued at their next wake edge. Each
+    /// only happens when the probe found nothing due, and the probe runs
+    /// only with every tile parked: their owed-bookkeeping windows simply
+    /// grow with the clock and are batch-accrued at their next wake edge. Each
     /// controller not frozen by an mc-stall window is charged here the
     /// occupancy samples its `cycles` naive steps would have taken (its
     /// read queue cannot change while nothing is due). The scheduler
@@ -504,7 +503,7 @@ impl System {
             if self.sched.park_if_idle(i, now, tile) {
                 continue;
             }
-            tile.step_core(now);
+            tile.core.step(now, tile.workload.as_mut(), &mut tile.mem);
             self.metrics.record_markers(i, &mut tile.core);
         }
 

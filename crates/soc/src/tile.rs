@@ -329,24 +329,6 @@ impl std::fmt::Debug for Tile {
 }
 
 impl Tile {
-    /// Advances the core one cycle against the tile's memory front end.
-    pub fn step_core(&mut self, now: Cycle) {
-        self.core.step(now, self.workload.as_mut(), &mut self.mem);
-    }
-
-    /// The earliest cycle this tile can change state on its own: the min
-    /// of the injection-queue horizon ([`TileMem::next_inject_at`]) and
-    /// the core's self-scheduled horizon ([`Tile::core_next_event`]).
-    /// [`crate::system::System`]'s quiescence skipping min-combines this
-    /// across tiles; a too-early answer costs speed only, never
-    /// correctness.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut h = pabst_simkit::horizon::Horizon::new();
-        h.merge(self.mem.next_inject_at(now));
-        h.merge(self.core_next_event(now));
-        h.get()
-    }
-
     /// The core's horizon as seen through this tile's port: refused
     /// accesses stay inert until the port's release count moves. Only
     /// [`TileMem::on_fill`] moves it, and the system runs that only on
