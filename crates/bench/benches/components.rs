@@ -31,7 +31,7 @@ fn bench_arbiter() {
         i = (i + 1) % 2;
         let id = QosId::new(i);
         let d = vc.stamp(id);
-        vc.on_picked(id, d);
+        vc.on_picked(d);
     });
 }
 

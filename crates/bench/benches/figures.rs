@@ -1,35 +1,26 @@
-//! Timing wrappers around scaled-down versions of the paper's figure
+//! Timing wrappers around scaled-down cells of the paper's figure
 //! experiments, so regressions in end-to-end simulation cost are caught.
+//! Each times the registry's own cell runner on a 4-epoch budget.
 //!
 //! These measure *simulator throughput*, not the figures themselves — run
 //! the `fig*` binaries for the actual reproduction numbers.
 
 use pabst_bench::harness::RunCtx;
-use pabst_bench::scenarios::{fig1_cell, fig5_series, fig8_run, fig9_run, Fig1Mix};
+use pabst_bench::registry;
 use pabst_bench::timing::bench;
-use pabst_soc::config::RegulationMode;
 
 fn main() {
-    bench("figures/fig1_stream_stream_pabst_4epochs", 1, || {
-        let mut ctx = RunCtx::detached();
-        std::hint::black_box(fig1_cell(
-            Fig1Mix::StreamStream,
-            RegulationMode::Pabst,
-            4,
-            0,
-            &mut ctx,
-        ));
-    });
-    bench("figures/fig5_series_4epochs", 1, || {
-        let mut ctx = RunCtx::detached();
-        std::hint::black_box(fig5_series(4, 0, &mut ctx));
-    });
-    bench("figures/fig8_run_4epochs", 1, || {
-        let mut ctx = RunCtx::detached();
-        std::hint::black_box(fig8_run(4, 0, &mut ctx));
-    });
-    bench("figures/fig9_memcached_quick", 1, || {
-        let mut ctx = RunCtx::detached();
-        std::hint::black_box(fig9_run(RegulationMode::Pabst, true, 4, 0, &mut ctx));
-    });
+    for (name, experiment, index) in [
+        ("figures/fig07_stream_stream_pabst_4epochs", "fig07", 2),
+        ("figures/fig05_series_4epochs", "fig05", 0),
+        ("figures/fig08_run_4epochs", "fig08", 0),
+        ("figures/fig09_memcached_pabst_4epochs", "fig09", 2),
+    ] {
+        let exp = registry::find(experiment).expect("registered experiment");
+        let mut p = (exp.grid)(true).swap_remove(index);
+        p.epochs = 4;
+        bench(name, 1, || {
+            std::hint::black_box(exp.run(&p, RunCtx::detached()));
+        });
+    }
 }

@@ -18,12 +18,11 @@
 use std::time::{Duration, Instant};
 
 use pabst_bench::obs::CliArgs;
-use pabst_bench::scenarios::{read_streamers, region_for, write_streamers};
 use pabst_bench::{harness, timing};
 use pabst_cpu::Workload;
 use pabst_soc::config::{RegulationMode, SystemConfig};
 use pabst_soc::system::{System, SystemBuilder};
-use pabst_workloads::ChaserGen;
+use pabst_workloads::{read_streamers, region_for, write_streamers, ChaserGen};
 
 /// How each arm of a profile is timed: the fastest of `repeats` windows,
 /// each running whole epochs until it has run `min_epochs` of them and

@@ -39,7 +39,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::harness::{ExperimentResult, Params, RunCtx};
 use crate::registry::MECHANISM_COMBOS;
-use crate::scenarios::read_streamers;
 use crate::shrink::shrink_plan;
 use crate::table::Table;
 use pabst_core::governor::GovernorKind;
@@ -49,6 +48,7 @@ use pabst_simkit::invariant::ViolationPolicy;
 use pabst_simkit::stats::allocation_error_pct;
 use pabst_soc::config::{RegulationMode, SystemConfig};
 use pabst_soc::system::{System, SystemBuilder};
+use pabst_workloads::read_streamers;
 
 /// Base seed every campaign draw mixes from. Changing it reshuffles
 /// every derived cell (the fixture is pinned), so treat it as part of

@@ -554,8 +554,8 @@ fn write_merged(path: &str, contents: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenarios::read_streamers;
     use pabst_soc::config::{RegulationMode, SystemConfig};
+    use pabst_workloads::read_streamers;
     use std::time::Duration;
 
     #[test]

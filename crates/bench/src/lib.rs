@@ -2,9 +2,9 @@
 //!
 //! Every paper figure/table is a registered [`harness::Experiment`] in
 //! [`registry`]: a grid of independent `(experiment, config)` cells, a
-//! cell runner over the [`scenarios`] builders, and a renderer that
-//! rebuilds the printed figure from the ordered results. The binaries in
-//! `src/bin/` are one-line [`harness::drive`] wrappers.
+//! cell runner that builds, runs and measures the cell's systems, and a
+//! renderer that rebuilds the printed figure from the ordered results.
+//! The binaries in `src/bin/` are one-line [`harness::drive`] wrappers.
 //!
 //! Run everything:
 //!

@@ -4,24 +4,32 @@
 //! Each entry decomposes a figure into independent grid cells (one
 //! `(experiment, config)` run each — for the SPEC figures one cell is a
 //! whole workload row, because its mode runs share the isolated-IPC
-//! baseline), a cell runner over the [`crate::scenarios`] builders, and
-//! a renderer that rebuilds the figure's printed output from the
-//! submission-ordered results. The `src/bin/` binaries are one-line
-//! [`crate::harness::drive`] calls over these names.
+//! baseline), a cell runner that builds, runs and measures the cell's
+//! systems through its [`RunCtx`], and a renderer that rebuilds the
+//! figure's printed output from the submission-ordered results. The
+//! `src/bin/` binaries are one-line [`crate::harness::drive`] calls over
+//! these names.
 
 use crate::harness::{Experiment, ExperimentResult, Params, RunCtx};
-use crate::scenarios::{
-    ablate_burst, ablate_inertia, ablate_slack, ablate_writeback, all_spec, fig10_cell, fig11_cell,
-    fig1_cell, fig1_cell_with, fig5_series, fig6_series, fig8_run, fig9_run, mechanisms_cell,
-    resilience_cell, scale_cell, skewed_traffic_utilization, spec_isolated_ipc, Fig1Mix,
-    MEASURE_EPOCHS,
-};
 use crate::table::Table;
 use pabst_core::governor::GovernorKind;
+use pabst_cpu::Workload;
 use pabst_dram::ArbiterMode;
 use pabst_simkit::bytes_per_cycle_to_gbps;
 use pabst_simkit::fault::{FaultKind, FaultPlan, FaultSpec};
+use pabst_simkit::stats::allocation_error_pct;
 use pabst_soc::config::{RegulationMode, SystemConfig, WbAccounting};
+use pabst_soc::{Metrics, System, SystemBuilder};
+use pabst_workloads::{
+    chasers, read_streamers, region_for, spec_cores, write_streamers, MemcachedGen,
+    PeriodicStreamGen, SkewedStreamGen, StreamGen, ALL_SPEC,
+};
+
+/// Warmup epochs before a marked measurement window (the governor
+/// converges within ~10 epochs; see the `governor_trace` example).
+const WARMUP_EPOCHS: usize = 8;
+/// Measured epochs of a full (not `--quick`) SPEC-matrix run.
+const MEASURE_EPOCHS: usize = 15;
 
 /// The experiment names `all_figures` runs, in printing order. `fig10`
 /// prints both the Fig. 10 and Fig. 12 tables (same runs, two metrics),
@@ -70,14 +78,14 @@ pub static EXPERIMENTS: [Experiment; 16] = [
         name: "fig08",
         title: "Fig. 8 — proportional distribution of excess bandwidth",
         grid: fig08_grid,
-        run: fig08_run_cell,
+        run: fig08_run,
         render: fig08_render,
     },
     Experiment {
         name: "fig09",
         title: "Fig. 9 — memcached service times under an aggressor",
         grid: fig09_grid,
-        run: fig09_run_cell,
+        run: fig09_run,
         render: fig09_render,
     },
     Experiment {
@@ -154,6 +162,27 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
 
 fn gbps(bpc: f64) -> String {
     format!("{:.1}", bytes_per_cycle_to_gbps(bpc))
+}
+
+/// Classes 0 and 1 over the measured tail (epochs `from..`): the max
+/// relative share error against `weights`, percent, and their combined
+/// bandwidth, bytes/cycle. Each class's mean is floored at one byte so
+/// a starved class reads as a large error.
+fn tail_alloc(m: &Metrics, weights: [f64; 2], from: usize) -> (f64, f64) {
+    let o0 = m.bw_series.mean_over(0, from);
+    let o1 = m.bw_series.mean_over(1, from);
+    let error_pct = allocation_error_pct(&weights, &[o0.max(1.0), o1.max(1.0)]);
+    (error_pct, (o0 + o1) / m.bw_series.epoch_cycles() as f64)
+}
+
+/// Mean |ΔM|/M over `m_tail`: the governor's epoch-to-epoch oscillation
+/// amplitude.
+fn jitter(m_tail: &[u32]) -> f64 {
+    let mut sum = 0.0;
+    for w in m_tail.windows(2) {
+        sum += (f64::from(w[1]) - f64::from(w[0])).abs() / f64::from(w[0].max(1));
+    }
+    sum / (m_tail.len().max(2) - 1) as f64
 }
 
 // ---------------------------------------------------------------------
@@ -235,6 +264,40 @@ fn table03_render(_results: &[ExperimentResult]) -> String {
 // Figs. 1 and 7 (same cell shape, different mode sets and labels).
 // ---------------------------------------------------------------------
 
+/// The two workload mixes of Figs. 1 and 7, both at 3:1.
+#[derive(Debug, Clone, Copy)]
+enum Fig1Mix {
+    /// Two 16-core write-stream classes.
+    StreamStream,
+    /// 16 chasers (class 0) against 16 read streamers (class 1).
+    ChaserStream,
+}
+
+/// Runs one Fig. 1 cell on `cfg` (also the calibration sweep's cell):
+/// `p.epochs / 2` warmup epochs, then `p.epochs` measured. Returns
+/// class 0's and class 1's bytes/cycle and the allocation error (%)
+/// over the measured tail.
+fn fig1_cell(
+    cfg: SystemConfig,
+    mix: Fig1Mix,
+    mode: RegulationMode,
+    p: &Params,
+    ctx: &mut RunCtx,
+) -> (f64, f64, f64) {
+    let (c0, c1) = match mix {
+        Fig1Mix::StreamStream => (write_streamers(0, 16, p.seed), write_streamers(1, 16, p.seed)),
+        Fig1Mix::ChaserStream => (chasers(0, 16, p.seed), read_streamers(1, 16, p.seed)),
+    };
+    let mut sys = ctx.build(SystemBuilder::new(cfg, mode).class(3, c0).class(1, c1));
+    let warm = p.epochs / 2;
+    sys.run_epochs(warm + p.epochs);
+    ctx.report(&sys);
+    let m = sys.metrics();
+    let ec = m.bw_series.epoch_cycles() as f64;
+    let (error_pct, _) = tail_alloc(m, [3.0, 1.0], warm);
+    (m.bw_series.mean_over(0, warm) / ec, m.bw_series.mean_over(1, warm) / ec, error_pct)
+}
+
 fn fig01_cells() -> Vec<(Fig1Mix, &'static str, RegulationMode)> {
     let mut cells = Vec::new();
     for (mix, mix_name) in
@@ -280,16 +343,9 @@ fn alloc_run(
     mut ctx: RunCtx,
 ) -> ExperimentResult {
     let (mix, _, mode) = cells[p.index];
-    let r = fig1_cell(mix, mode, p.epochs, p.seed, &mut ctx);
-    ctx.finish(
-        p,
-        vec![
-            ("bpc0", r.bytes_per_cycle[0]),
-            ("bpc1", r.bytes_per_cycle[1]),
-            ("error_pct", r.error_pct),
-        ],
-        Vec::new(),
-    )
+    let (bpc0, bpc1, error_pct) =
+        fig1_cell(SystemConfig::baseline_32core(), mix, mode, p, &mut ctx);
+    ctx.finish(p, vec![("bpc0", bpc0), ("bpc1", bpc1), ("error_pct", error_pct)], Vec::new())
 }
 
 fn alloc_table(
@@ -346,10 +402,25 @@ fn fig07_render(results: &[ExperimentResult]) -> String {
 // Figs. 5 and 6: time-series experiments (one cell each).
 // ---------------------------------------------------------------------
 
-fn series_metrics(points: &[Vec<f64>]) -> (Vec<f64>, Vec<f64>) {
-    let s0: Vec<f64> = points.iter().map(|p| p[0]).collect();
-    let s1: Vec<f64> = points.iter().map(|p| p[1]).collect();
-    (s0, s1)
+/// Runs a Fig. 5/6 cell: `class0` at weight 7 against 16 read
+/// streamers at weight 3 on the baseline machine under PABST for
+/// `p.epochs`. Returns each class's per-epoch bytes/cycle.
+fn series_cell(
+    class0: Vec<Box<dyn Workload>>,
+    p: &Params,
+    ctx: &mut RunCtx,
+) -> (Vec<f64>, Vec<f64>) {
+    let mut sys = ctx.build(
+        SystemBuilder::new(SystemConfig::baseline_32core(), RegulationMode::Pabst)
+            .class(7, class0)
+            .class(3, read_streamers(1, 16, p.seed)),
+    );
+    sys.run_epochs(p.epochs);
+    ctx.report(&sys);
+    let bw = &sys.metrics().bw_series;
+    let ec = bw.epoch_cycles();
+    let series = |c: usize| (0..bw.epochs()).map(|e| bw.epoch(e)[c] / ec as f64).collect();
+    (series(0), series(1))
 }
 
 fn fig05_grid(quick: bool) -> Vec<Params> {
@@ -357,8 +428,7 @@ fn fig05_grid(quick: bool) -> Vec<Params> {
 }
 
 fn fig05_run(p: &Params, mut ctx: RunCtx) -> ExperimentResult {
-    let s = fig5_series(p.epochs, p.seed, &mut ctx);
-    let (s0, s1) = series_metrics(&s.points);
+    let (s0, s1) = series_cell(read_streamers(0, 16, p.seed), p, &mut ctx);
     ctx.finish(p, Vec::new(), vec![("class0", s0), ("class1", s1)])
 }
 
@@ -394,8 +464,18 @@ fn fig06_grid(quick: bool) -> Vec<Params> {
 }
 
 fn fig06_run(p: &Params, mut ctx: RunCtx) -> ExperimentResult {
-    let s = fig6_series(p.epochs, p.seed, &mut ctx);
-    let (s0, s1) = series_metrics(&s.points);
+    let periodic = (0..16)
+        .map(|i| {
+            Box::new(PeriodicStreamGen::new(
+                region_for(0, i, 1 << 20),
+                256,
+                8_000,
+                900_000,
+                p.seed + i as u64,
+            )) as Box<dyn Workload>
+        })
+        .collect();
+    let (s0, s1) = series_cell(periodic, p, &mut ctx);
     ctx.finish(p, Vec::new(), vec![("periodic", s0), ("constant", s1)])
 }
 
@@ -448,13 +528,38 @@ fn fig08_grid(quick: bool) -> Vec<Params> {
     vec![Params::new("fig08", "resident + high/low DDR", 0, if quick { 20 } else { 60 })]
 }
 
-fn fig08_run_cell(p: &Params, mut ctx: RunCtx) -> ExperimentResult {
-    let r = fig8_run(p.epochs, p.seed, &mut ctx);
-    ctx.finish(
-        p,
-        vec![("share0", r.shares[0]), ("share1", r.shares[1]), ("share2", r.shares[2])],
-        Vec::new(),
-    )
+/// `n` read streamers for `class` over `lines`-line regions, seeded
+/// `seed + i` (Figs. 8 and 9 salt `seed` per class).
+fn streams(class: usize, n: usize, lines: u64, seed: u64) -> Vec<Box<dyn Workload>> {
+    (0..n)
+        .map(|i| {
+            Box::new(StreamGen::reads(region_for(class, i, lines), seed + i as u64))
+                as Box<dyn Workload>
+        })
+        .collect()
+}
+
+/// A 25%-share L3-resident streamer plus 50%- and 25%-share DDR
+/// streamers; the resident class's excess must split 2:1.
+fn fig08_run(p: &Params, mut ctx: RunCtx) -> ExperimentResult {
+    let mut sys = ctx.build(
+        SystemBuilder::new(SystemConfig::baseline_32core(), RegulationMode::Pabst)
+            .class(1, streams(0, 8, 4096, p.seed))
+            .l3_ways(0, 4)
+            .class(2, streams(1, 12, 1 << 20, p.seed + 100))
+            .l3_ways(4, 6)
+            .class(1, streams(2, 12, 1 << 20, p.seed + 200))
+            .l3_ways(10, 6),
+    );
+    sys.run_epochs(p.epochs);
+    ctx.report(&sys);
+    let (m, from) = (sys.metrics(), p.epochs / 2);
+    let shares = vec![
+        ("share0", m.mean_share(0, from)),
+        ("share1", m.mean_share(1, from)),
+        ("share2", m.mean_share(2, from)),
+    ];
+    ctx.finish(p, shares, Vec::new())
 }
 
 fn fig08_render(results: &[ExperimentResult]) -> String {
@@ -496,20 +601,31 @@ fn fig09_grid(quick: bool) -> Vec<Params> {
         .collect()
 }
 
-fn fig09_run_cell(p: &Params, mut ctx: RunCtx) -> ExperimentResult {
+/// A memcached server (weight 20, 8 L3 ways) on the scaled 8-core
+/// machine, alone or against 7 read-streaming cores (weight 1).
+fn fig09_run(p: &Params, mut ctx: RunCtx) -> ExperimentResult {
     let (_, mode, aggressor) = fig09_cells()[p.index];
-    let r = fig9_run(mode, aggressor, p.epochs, p.seed, &mut ctx);
-    ctx.finish(
-        p,
-        vec![
-            ("mean", r.mean),
-            ("p50", r.p50 as f64),
-            ("p95", r.p95 as f64),
-            ("p99", r.p99 as f64),
-            ("count", r.count as f64),
-        ],
-        Vec::new(),
-    )
+    let server: Vec<Box<dyn Workload>> =
+        vec![Box::new(MemcachedGen::new(region_for(0, 0, 1 << 18), p.seed + 7))];
+    let mut b =
+        SystemBuilder::new(SystemConfig::scaled_8core(), mode).class(20, server).l3_ways(0, 8);
+    if aggressor {
+        b = b.class(1, streams(1, 7, 1 << 20, p.seed + 50)).l3_ways(8, 8);
+    }
+    let mut sys = ctx.build(b);
+    sys.run_epochs(WARMUP_EPOCHS);
+    sys.mark_measurement();
+    sys.run_epochs(p.epochs.max(20));
+    ctx.report(&sys);
+    let h = &mut sys.metrics_mut().service[0];
+    let metrics = vec![
+        ("mean", h.mean().unwrap_or(0.0)),
+        ("p50", h.percentile(50.0).unwrap_or(0) as f64),
+        ("p95", h.percentile(95.0).unwrap_or(0) as f64),
+        ("p99", h.percentile(99.0).unwrap_or(0) as f64),
+        ("count", h.count() as f64),
+    ];
+    ctx.finish(p, metrics, Vec::new())
 }
 
 fn fig09_render(results: &[ExperimentResult]) -> String {
@@ -547,11 +663,7 @@ const SLOWDOWN_KEYS: [&str; 4] =
 const EFF_KEYS: [&str; 4] = ["eff_none", "eff_source", "eff_target", "eff_pabst"];
 
 fn spec_grid(experiment: &'static str, epochs: usize) -> Vec<Params> {
-    all_spec()
-        .iter()
-        .enumerate()
-        .map(|(i, w)| Params::new(experiment, w.name(), i, epochs))
-        .collect()
+    ALL_SPEC.iter().enumerate().map(|(i, w)| Params::new(experiment, w.name(), i, epochs)).collect()
 }
 
 fn fig10_grid(quick: bool) -> Vec<Params> {
@@ -562,16 +674,44 @@ fn fig12_grid(quick: bool) -> Vec<Params> {
     spec_grid("fig12", if quick { 8 } else { MEASURE_EPOCHS })
 }
 
-/// Shared Fig. 10 / Fig. 12 cell: the isolated baseline plus all four
-/// regulation modes for one SPEC workload.
+/// Runs one SPEC-matrix system: [`WARMUP_EPOCHS`] of warmup, then
+/// `epochs` in a marked measurement window, reported under `label`.
+/// Returns the system and the mean IPC of its first `cores` cores over
+/// the window.
+fn spec_run(
+    builder: SystemBuilder,
+    cores: usize,
+    label: &str,
+    epochs: usize,
+    ctx: &mut RunCtx,
+) -> (System, f64) {
+    let mut sys = ctx.build(builder);
+    sys.run_epochs(WARMUP_EPOCHS);
+    sys.mark_measurement();
+    sys.run_epochs(epochs);
+    ctx.report_labeled(&sys, label);
+    let ipc = (0..cores).map(|i| sys.ipc_since_mark(i)).sum::<f64>() / cores as f64;
+    (sys, ipc)
+}
+
+/// Shared Fig. 10 / Fig. 12 cell for one SPEC workload: 16 SPEC cores
+/// (weight 32, 8 L3 ways) run alone for the isolated IPC, then against
+/// 16 read streamers (weight 1, the other 8 ways) under each regulation
+/// mode, for the weighted slowdown and the data-bus utilization.
 fn spec_matrix_run(p: &Params, mut ctx: RunCtx) -> ExperimentResult {
-    let w = all_spec()[p.index];
-    let iso = spec_isolated_ipc(w, p.epochs, p.seed, &mut ctx);
+    let w = ALL_SPEC[p.index];
+    let spec = |mode| {
+        SystemBuilder::new(SystemConfig::baseline_32core(), mode)
+            .class(32, spec_cores(w, 0, 16, p.seed))
+            .l3_ways(0, 8)
+    };
+    let (_, iso) = spec_run(spec(RegulationMode::None), 16, "isolated", p.epochs, &mut ctx);
     let mut metrics = vec![("iso_ipc", iso)];
     for (i, mode) in SPEC_MODES.iter().enumerate() {
-        let c = fig10_cell(w, *mode, iso, p.epochs, p.seed, &mut ctx);
-        metrics.push((SLOWDOWN_KEYS[i], c.slowdown));
-        metrics.push((EFF_KEYS[i], c.efficiency));
+        let b = spec(*mode).class(1, read_streamers(1, 16, p.seed)).l3_ways(8, 8);
+        let (sys, ipc) = spec_run(b, 16, mode.label(), p.epochs, &mut ctx);
+        metrics.push((SLOWDOWN_KEYS[i], iso / ipc));
+        metrics.push((EFF_KEYS[i], sys.bus_utilization_since_mark()));
     }
     eprintln!("  done {}", w.name());
     ctx.finish(p, metrics, Vec::new())
@@ -586,7 +726,7 @@ fn efficiency_table(results: &[ExperimentResult]) -> Table {
         "pabst",
         "latency-sensitive",
     ]);
-    for (r, w) in results.iter().zip(all_spec()) {
+    for (r, w) in results.iter().zip(ALL_SPEC) {
         let mut cells = vec![w.name().to_string()];
         cells.extend(EFF_KEYS.iter().map(|k| format!("{:.2}", r.metric(k))));
         cells.push(if w.latency_sensitive() { "yes".into() } else { "no".into() });
@@ -598,7 +738,7 @@ fn efficiency_table(results: &[ExperimentResult]) -> Table {
 fn fig10_render(results: &[ExperimentResult]) -> String {
     let mut slow = Table::new(vec!["workload", "no-QoS", "source-only", "target-only", "pabst"]);
     let mut sums = [0.0f64; 4];
-    for (r, w) in results.iter().zip(all_spec()) {
+    for (r, w) in results.iter().zip(ALL_SPEC) {
         let mut cells = vec![w.name().to_string()];
         for (i, k) in SLOWDOWN_KEYS.iter().enumerate() {
             let v = r.metric(k);
@@ -607,7 +747,7 @@ fn fig10_render(results: &[ExperimentResult]) -> String {
         }
         slow.row(cells);
     }
-    let n = all_spec().len() as f64;
+    let n = ALL_SPEC.len() as f64;
     slow.row(vec![
         "mean".into(),
         format!("{:.2}x", sums[0] / n),
@@ -640,16 +780,31 @@ fn fig11_grid(quick: bool) -> Vec<Params> {
     spec_grid("fig11", if quick { 8 } else { MEASURE_EPOCHS })
 }
 
+/// One Fig. 11 workload: four 8-core classes of the same SPEC proxy at
+/// equal 25% shares, against a static baseline of 8 cores alone on a 4x
+/// down-clocked DDR with the same 4-way cache slice.
 fn fig11_run(p: &Params, mut ctx: RunCtx) -> ExperimentResult {
-    let w = all_spec()[p.index];
-    let c = fig11_cell(w, p.epochs, p.seed, &mut ctx);
+    let w = ALL_SPEC[p.index];
+    let mut b = SystemBuilder::new(SystemConfig::baseline_32core(), RegulationMode::Pabst);
+    for c in 0..4 {
+        b = b.class(1, spec_cores(w, c, 8, p.seed)).l3_ways(c * 4, 4);
+    }
+    let (_, pabst_ipc) = spec_run(b, 32, "consolidated", p.epochs, &mut ctx);
+    let mut cfg = SystemConfig::baseline_32core();
+    cfg.cores = 8;
+    cfg.mcs = 4;
+    cfg.dram = cfg.dram.down_clocked(4);
+    let b = SystemBuilder::new(cfg, RegulationMode::None)
+        .class(1, spec_cores(w, 0, 8, p.seed))
+        .l3_ways(0, 4);
+    let (_, static_ipc) = spec_run(b, 8, "static baseline", p.epochs, &mut ctx);
     eprintln!("  done {}", w.name());
-    ctx.finish(p, vec![("static_ipc", c.static_ipc), ("pabst_ipc", c.pabst_ipc)], Vec::new())
+    ctx.finish(p, vec![("static_ipc", static_ipc), ("pabst_ipc", pabst_ipc)], Vec::new())
 }
 
 fn fig11_render(results: &[ExperimentResult]) -> String {
     let mut t = Table::new(vec!["workload", "static IPC", "PABST IPC", "improvement"]);
-    for (r, w) in results.iter().zip(all_spec()) {
+    for (r, w) in results.iter().zip(ALL_SPEC) {
         let (s, p) = (r.metric("static_ipc"), r.metric("pabst_ipc"));
         t.row(vec![
             w.name().into(),
@@ -724,25 +879,66 @@ fn ablate_grid(quick: bool) -> Vec<Params> {
         .collect()
 }
 
+/// Runs one ablation cell on the baseline machine under PABST: the
+/// cell's knob set, its two-class mix run for `p.epochs`, and its
+/// metrics measured from epoch `p.epochs / 2` on.
 fn ablate_run(p: &Params, mut ctx: RunCtx) -> ExperimentResult {
-    let metrics = match ablate_cells()[p.index] {
+    let cell = ablate_cells()[p.index];
+    let seed = p.seed;
+    let mut cfg = SystemConfig::baseline_32core();
+    let reads_7_3 = || (7, read_streamers(0, 16, seed), 3, read_streamers(1, 16, seed));
+    let (w0, c0, w1, c1) = match cell {
         AblateCell::Writeback(_, policy) => {
-            let (s0, s1) = ablate_writeback(policy, p.epochs, p.seed, &mut ctx);
-            vec![("share0", s0), ("share1", s1)]
+            cfg.wb_accounting = policy;
+            (7, write_streamers(0, 16, seed), 3, write_streamers(1, 16, seed))
         }
         AblateCell::Burst(burst) => {
-            vec![("error_pct", ablate_burst(burst, p.epochs, p.seed, &mut ctx))]
+            cfg.pacer_burst = burst;
+            reads_7_3()
         }
         AblateCell::Slack(slack) => {
-            vec![("error_pct", ablate_slack(slack, p.epochs, p.seed, &mut ctx))]
+            cfg.arbiter_slack = slack;
+            (3, chasers(0, 16, seed), 1, read_streamers(1, 16, seed))
         }
         AblateCell::Inertia(inertia) => {
-            let (err, jitter) = ablate_inertia(inertia, p.epochs, p.seed, &mut ctx);
-            vec![("error_pct", err), ("jitter", jitter)]
+            cfg.monitor.inertia = inertia;
+            reads_7_3()
         }
         AblateCell::Skew(_, per_mc) => {
-            vec![("bpc", skewed_traffic_utilization(per_mc, p.epochs, p.seed, &mut ctx))]
+            // §III-C1: class 0 hammers one controller while class 1
+            // streams across all of them. The global wired-OR SAT stays
+            // high for the hot controller and throttles traffic bound
+            // for the idle ones; the per-MC variant recovers them.
+            cfg.per_mc_regulation = per_mc;
+            let skewed = (0..16)
+                .map(|i| {
+                    Box::new(SkewedStreamGen::new(
+                        region_for(0, i, 1 << 20),
+                        0,
+                        cfg.mcs,
+                        seed + i as u64,
+                    )) as Box<dyn Workload>
+                })
+                .collect();
+            (1, skewed, 1, read_streamers(1, 16, seed))
         }
+    };
+    let mut sys =
+        ctx.build(SystemBuilder::new(cfg, RegulationMode::Pabst).class(w0, c0).class(w1, c1));
+    sys.run_epochs(p.epochs);
+    ctx.report(&sys);
+    let (m, from) = (sys.metrics(), p.epochs / 2);
+    let metrics = match cell {
+        AblateCell::Writeback(..) => {
+            vec![("share0", m.mean_share(0, from)), ("share1", m.mean_share(1, from))]
+        }
+        AblateCell::Burst(_) => vec![("error_pct", tail_alloc(m, [7.0, 3.0], from).0)],
+        AblateCell::Slack(_) => vec![("error_pct", tail_alloc(m, [3.0, 1.0], from).0)],
+        AblateCell::Inertia(_) => vec![
+            ("error_pct", tail_alloc(m, [7.0, 3.0], from).0),
+            ("jitter", jitter(&m.m_series[from..])),
+        ],
+        AblateCell::Skew(..) => vec![("bpc", m.total_bytes_per_cycle(from))],
     };
     ctx.finish(p, metrics, Vec::new())
 }
@@ -846,9 +1042,9 @@ fn calibrate_run(p: &Params, mut ctx: RunCtx) -> ExperimentResult {
     cfg.dram.read_q_cap = read_q;
     cfg.dram.ingress_cap = ingress;
     cfg.dram.data_buf_cap = horizon as usize;
-    let err = fig1_cell_with(cfg, mix, mode, p.epochs, p.seed, &mut ctx).error_pct;
+    let (_, _, error_pct) = fig1_cell(cfg, mix, mode, p, &mut ctx);
     eprintln!("  done {}", p.config);
-    ctx.finish(p, vec![("error_pct", err)], Vec::new())
+    ctx.finish(p, vec![("error_pct", error_pct)], Vec::new())
 }
 
 fn calibrate_render(results: &[ExperimentResult]) -> String {
@@ -996,16 +1192,32 @@ fn resilience_grid(quick: bool) -> Vec<Params> {
         .collect()
 }
 
+/// A 3:1 read-stream contest on the scaled 8-core machine with the
+/// cell's fault plan injected and a 50-epoch liveness window under the
+/// default panicking policy: a fault mix that wedges the machine's one
+/// controller becomes a panic the harness records as a cell failure,
+/// not a hung run.
 fn resilience_run(p: &Params, mut ctx: RunCtx) -> ExperimentResult {
     let plan = resilience_plan(resilience_cells()[p.index], p.seed);
-    let r = resilience_cell(plan, p.epochs, p.seed, &mut ctx);
+    let mut cfg = SystemConfig::scaled_8core();
+    cfg.invariants.liveness_epochs = 50;
+    let mut sys = ctx.build(
+        SystemBuilder::new(cfg, RegulationMode::Pabst)
+            .class(3, read_streamers(0, 4, p.seed))
+            .class(1, read_streamers(1, 4, p.seed))
+            .fault_plan(plan),
+    );
+    let warm = p.epochs / 2;
+    sys.run_epochs(warm + p.epochs);
+    ctx.report(&sys);
+    let (error_pct, bpc) = tail_alloc(sys.metrics(), [3.0, 1.0], warm);
     ctx.finish(
         p,
         vec![
-            ("error_pct", r.error_pct),
-            ("bpc", r.total_bpc),
-            ("faults", r.faults as f64),
-            ("degraded", r.degraded_epochs as f64),
+            ("error_pct", error_pct),
+            ("bpc", bpc),
+            ("faults", sys.faults_injected() as f64),
+            ("degraded", sys.degraded_epochs() as f64),
         ],
         Vec::new(),
     )
@@ -1063,17 +1275,35 @@ fn scale_grid(quick: bool) -> Vec<Params> {
         .collect()
 }
 
+/// Half the tiles stream reads at weight 3, the other half at weight 1
+/// (the Fig. 5 contest scaled to the machine), warmed for `p.epochs / 2`
+/// and measured for `p.epochs`. The jitter column is where the 256-tile
+/// wobble shows: one global M paces 256 tiles toward 16 controllers, so
+/// each step moves 8x the baseline's traffic and the loop hunts around
+/// its fixed point.
 fn scale_run(p: &Params, mut ctx: RunCtx) -> ExperimentResult {
-    let (_, cfg) = scale_cells()[p.index];
-    let r = scale_cell(cfg(), p.epochs, p.seed, &mut ctx);
+    let cfg = (scale_cells()[p.index].1)();
+    let half = cfg.cores / 2;
+    let mut sys = ctx.build(
+        SystemBuilder::new(cfg, RegulationMode::Pabst)
+            .class(3, read_streamers(0, half, p.seed))
+            .class(1, read_streamers(1, half, p.seed)),
+    );
+    let warm = p.epochs / 2;
+    sys.run_epochs(warm + p.epochs);
+    ctx.report(&sys);
     eprintln!("  done {}", p.config);
+    let m = sys.metrics();
+    let (error_pct, bpc) = tail_alloc(m, [3.0, 1.0], warm);
+    let sat_tail = &m.sat_series[warm..];
+    let sat_duty = sat_tail.iter().filter(|&&s| s).count() as f64 / sat_tail.len().max(1) as f64;
     ctx.finish(
         p,
         vec![
-            ("error_pct", r.error_pct),
-            ("bpc", r.total_bpc),
-            ("sat_duty", r.sat_duty),
-            ("jitter", r.jitter),
+            ("error_pct", error_pct),
+            ("bpc", bpc),
+            ("sat_duty", sat_duty),
+            ("jitter", jitter(&m.m_series[warm..])),
         ],
         Vec::new(),
     )
@@ -1143,17 +1373,37 @@ fn mechanisms_grid(quick: bool) -> Vec<Params> {
         .collect()
 }
 
+/// One zoo cell on the scaled 8-core machine, the (governor, arbiter)
+/// pair selected through [`SystemConfig`] as a provenance-tracked run
+/// would: class 0 (weight 3) is a memcached server plus three
+/// aggressors, read streamers or (in the chaser mix) pointer chasers;
+/// class 1 (weight 1) is four read streamers.
 fn mechanisms_run(p: &Params, mut ctx: RunCtx) -> ExperimentResult {
-    let (g, a, _, chaser) = mechanisms_cells()[p.index];
-    let r = mechanisms_cell(g, a, chaser, p.epochs, p.seed, &mut ctx);
+    let (governor, arbiter, _, chaser_mix) = mechanisms_cells()[p.index];
+    let mut cfg = SystemConfig::scaled_8core();
+    cfg.governor = governor;
+    cfg.arbiter = arbiter;
+    // The server gets address-space slice 2 so its region never collides
+    // with the per-class aggressor slices.
+    let mut c0: Vec<Box<dyn Workload>> =
+        vec![Box::new(MemcachedGen::new(region_for(2, 0, 1 << 18), p.seed + 7))];
+    c0.extend(if chaser_mix { chasers(0, 3, p.seed) } else { read_streamers(0, 3, p.seed) });
+    let mut sys = ctx.build(
+        SystemBuilder::new(cfg, RegulationMode::Pabst)
+            .class(3, c0)
+            .class(1, read_streamers(1, 4, p.seed)),
+    );
+    let warm = p.epochs / 2;
+    sys.run_epochs(warm);
+    sys.mark_measurement();
+    sys.run_epochs(p.epochs);
+    ctx.report(&sys);
+    let (error_pct, bpc) = tail_alloc(sys.metrics(), [3.0, 1.0], warm);
+    let h = &mut sys.metrics_mut().service[0];
+    let (p95, p99) = (h.percentile(95.0).unwrap_or(0), h.percentile(99.0).unwrap_or(0));
     ctx.finish(
         p,
-        vec![
-            ("error_pct", r.error_pct),
-            ("bpc", r.total_bpc),
-            ("p95", r.p95 as f64),
-            ("p99", r.p99 as f64),
-        ],
+        vec![("error_pct", error_pct), ("bpc", bpc), ("p95", p95 as f64), ("p99", p99 as f64)],
         Vec::new(),
     )
 }

@@ -7,9 +7,10 @@
 //! request entering the controller is stamped with the class's current
 //! virtual time; the arbiter then services the *ready* read with the
 //! earliest stamp. To prevent an idle class banking unbounded virtual
-//! credit, a stamp is capped at no more than `slack` (default 128) virtual
-//! ticks behind the most recent deadline the arbiter picked; when the cap
-//! binds, the class clock is rewritten to the capped value.
+//! credit, a stamp is capped at no more than `slack` (the baseline's
+//! 128) virtual ticks behind the most recent deadline the arbiter
+//! picked; when the cap binds, the class clock is rewritten to the
+//! capped value.
 //!
 //! Differences from Nesbit et al.'s FQM that the paper calls out are
 //! honoured here: true per-request stride charging (not scaled expected
@@ -18,10 +19,6 @@
 //! `pabst-dram` does the latter).
 
 use crate::qos::{QosId, Stride, MAX_CLASSES};
-
-/// Default slack: how many virtual ticks behind the last picked deadline a
-/// new stamp may start (paper's example value).
-pub const DEFAULT_SLACK: u64 = 128;
 
 /// Stride scale used by the arbiter's virtual clocks: the highest-weight
 /// class advances its clock by this many virtual ticks per request, so the
@@ -57,8 +54,6 @@ pub struct VirtualClocks {
     classes: usize,
     slack: u64,
     last_picked: u64,
-    accepted: [u64; MAX_CLASSES],
-    picked: [u64; MAX_CLASSES],
 }
 
 impl VirtualClocks {
@@ -70,15 +65,7 @@ impl VirtualClocks {
         for (id, _) in shares.iter() {
             strides[id.index()] = shares.scaled_stride(id, ARBITER_STRIDE_SCALE).get();
         }
-        Self {
-            clocks: [0; MAX_CLASSES],
-            strides,
-            classes: shares.classes(),
-            slack,
-            last_picked: 0,
-            accepted: [0; MAX_CLASSES],
-            picked: [0; MAX_CLASSES],
-        }
+        Self { clocks: [0; MAX_CLASSES], strides, classes: shares.classes(), slack, last_picked: 0 }
     }
 
     /// Updates the stride of one class (software reprogramming a share).
@@ -101,17 +88,15 @@ impl VirtualClocks {
         }
         let deadline = self.clocks[i];
         self.clocks[i] = self.clocks[i].saturating_add(self.strides[i]);
-        self.accepted[i] += 1;
         VirtualDeadline(deadline)
     }
 
-    /// Records that the arbiter serviced a request with deadline `d` from
-    /// class `id`, updating the slack reference point.
-    pub fn on_picked(&mut self, id: QosId, d: VirtualDeadline) {
+    /// Records that the arbiter serviced a request with deadline `d`,
+    /// updating the slack reference point.
+    pub fn on_picked(&mut self, d: VirtualDeadline) {
         if d.0 > self.last_picked {
             self.last_picked = d.0;
         }
-        self.picked[id.index()] += 1;
     }
 
     /// Stamps a request *without* advancing the class clock — the FQM-style
@@ -125,7 +110,6 @@ impl VirtualClocks {
         if self.clocks[i] < floor {
             self.clocks[i] = floor;
         }
-        self.accepted[i] += 1;
         VirtualDeadline(self.clocks[i])
     }
 
@@ -150,21 +134,6 @@ impl VirtualClocks {
     /// Current virtual time of `id`.
     pub fn clock(&self, id: QosId) -> u64 {
         self.clocks[id.index()]
-    }
-
-    /// Total requests stamped for `id`.
-    pub fn accepted(&self, id: QosId) -> u64 {
-        self.accepted[id.index()]
-    }
-
-    /// Total requests serviced for `id`.
-    pub fn picked_count(&self, id: QosId) -> u64 {
-        self.picked[id.index()]
-    }
-
-    /// The slack cap in virtual ticks.
-    pub fn slack(&self) -> u64 {
-        self.slack
     }
 
     /// Number of classes these clocks were built for.
@@ -220,7 +189,7 @@ mod tests {
         // Busy class runs far ahead and the arbiter services it.
         for _ in 0..50 {
             let d = vc.stamp(busy);
-            vc.on_picked(busy, d);
+            vc.on_picked(d);
         }
         let last = vc.last_picked();
         assert!(last > 100);
@@ -259,7 +228,7 @@ mod tests {
         for _ in 0..4000 {
             let idx = VirtualClocks::pick_earliest(pending.iter().map(|&(_, d)| d)).unwrap();
             let (id, d) = pending[idx];
-            vc.on_picked(id, d);
+            vc.on_picked(d);
             served[id.index()] += 1;
             pending[idx] = (id, vc.stamp(id));
         }
@@ -276,17 +245,6 @@ mod tests {
         let _ = vc.stamp(QosId::new(0));
         let _ = vc.stamp(QosId::new(1));
         assert!(vc.clock(QosId::new(1)) < vc.clock(QosId::new(0)));
-    }
-
-    #[test]
-    fn counters_track_accept_and_pick() {
-        let mut vc = clocks(&[1], 100);
-        let id = QosId::new(0);
-        let d = vc.stamp(id);
-        assert_eq!(vc.accepted(id), 1);
-        assert_eq!(vc.picked_count(id), 0);
-        vc.on_picked(id, d);
-        assert_eq!(vc.picked_count(id), 1);
     }
 }
 
@@ -324,7 +282,7 @@ mod fqm_tests {
         let busy = QosId::new(0);
         for _ in 0..20 {
             let d = vc.stamp(busy);
-            vc.on_picked(busy, d);
+            vc.on_picked(d);
         }
         let idle = QosId::new(1);
         let d = vc.stamp_deferred(idle);

@@ -200,7 +200,7 @@ fn arbiter_stamps_nondecreasing() {
                 assert!(d >= prev, "seed {seed}: stamp regressed for {id}");
             }
             last[id.index()] = Some(d);
-            vc.on_picked(id, d);
+            vc.on_picked(d);
         }
     }
 }
@@ -219,7 +219,7 @@ fn arbiter_service_proportional() {
             for _ in 0..20_000 {
                 let idx = VirtualClocks::pick_earliest(pending.iter().copied())
                     .expect("two pending deadlines");
-                vc.on_picked(ids[idx], pending[idx]);
+                vc.on_picked(pending[idx]);
                 served[idx] += 1;
                 pending[idx] = vc.stamp(ids[idx]);
             }

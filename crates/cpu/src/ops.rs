@@ -61,9 +61,6 @@ pub trait Workload {
     fn name(&self) -> &str;
 }
 
-/// Boxed workload, the form the SoC stores per core.
-pub type BoxedWorkload = Box<dyn Workload>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -153,13 +153,13 @@ impl TargetArbiter for EdfArbiter {
 
     fn on_picked(
         &mut self,
-        class: QosId,
+        _class: QosId,
         deadline: VirtualDeadline,
         _seq: u64,
         _bank: u32,
         _cost: u64,
     ) {
-        self.clocks.on_picked(class, deadline);
+        self.clocks.on_picked(deadline);
     }
 
     fn set_shares(&mut self, shares: &ShareTable) {
@@ -228,7 +228,7 @@ impl TargetArbiter for FqmArbiter {
         _bank: u32,
         cost: u64,
     ) {
-        self.clocks.on_picked(class, deadline);
+        self.clocks.on_picked(deadline);
         // Charge by service cost: a row hit is one unit, a closed row
         // two, a conflict (precharge + activate) three.
         self.clocks.charge(class, cost);
@@ -361,14 +361,14 @@ impl TargetArbiter for PerBankArbiter {
 
     fn on_picked(
         &mut self,
-        class: QosId,
+        _class: QosId,
         deadline: VirtualDeadline,
         _seq: u64,
         bank: u32,
         _cost: u64,
     ) {
         let b = bank as usize % self.banks.len();
-        self.banks[b].on_picked(class, deadline);
+        self.banks[b].on_picked(deadline);
     }
 
     fn set_shares(&mut self, shares: &ShareTable) {
@@ -638,7 +638,7 @@ mod tests {
             let d_raw = raw.stamp(id);
             let d_arb = arb.stamp(id, false, i, (i % 4) as u32, 3);
             assert_eq!(d_raw, d_arb, "stamp {i} diverged");
-            raw.on_picked(id, d_raw);
+            raw.on_picked(d_raw);
             arb.on_picked(id, d_arb, i, (i % 4) as u32, 1);
             assert_eq!(raw.clock(id), arb.clock(id));
         }

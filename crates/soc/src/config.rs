@@ -37,21 +37,6 @@ impl ChannelMap {
     }
 }
 
-/// How request/response latencies are derived from placement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NetModel {
-    /// Placement-blind: every tile↔L3 path costs `l3_lat`, every response
-    /// costs `resp_lat`, L3→MC staging is free and MC links are unbounded
-    /// — exactly the fixed-latency pipes the pre-topology model used, so
-    /// uniform configs reproduce the committed goldens byte for byte.
-    #[default]
-    Uniform,
-    /// Distance-derived: per-hop delay times the Manhattan distance on the
-    /// tile mesh (plus a base pipeline latency per path), with a bounded
-    /// number of staged→ingress admissions per MC per cycle.
-    Mesh,
-}
-
 /// The machine's physical shape: where tiles, the shared L3, and the
 /// memory controllers sit on the on-chip mesh, how lines map to
 /// controllers, and how the network derives delay from distance.
@@ -68,14 +53,10 @@ pub struct Topology {
     pub mesh_rows: usize,
     /// Line→controller channel map.
     pub channel_map: ChannelMap,
-    /// Latency model.
-    pub net: NetModel,
-    /// Per-hop router delay, cycles (`Mesh` model only).
+    /// Per-hop router delay, cycles, added per Manhattan hop to the base
+    /// `l3_lat` / `resp_lat` of every path. 0 makes the network
+    /// placement-blind.
     pub hop_lat: Cycle,
-    /// Base tile→L3 pipeline latency added to request hops (`Mesh`).
-    pub req_base_lat: Cycle,
-    /// Base response serialization latency added to response hops (`Mesh`).
-    pub resp_base_lat: Cycle,
     /// Staged→ingress admissions per MC per cycle; 0 means unbounded (the
     /// legacy drain-until-full behavior the goldens pin).
     pub mc_link_bw: u64,
@@ -83,34 +64,31 @@ pub struct Topology {
 
 impl Topology {
     /// The placement-blind topology the paper's configs use: an 8×4 grid
-    /// (the Table III floorplan) with uniform latencies and the legacy
-    /// channel map. Byte-compatible with the pre-topology model.
+    /// (the Table III floorplan) with zero-cycle hops, so every tile↔L3
+    /// path costs `l3_lat`, every response `resp_lat`, L3→MC staging is
+    /// free and MC links are unbounded — the fixed-latency pipes the
+    /// committed goldens pin — and the legacy channel map.
     pub fn uniform_8x4() -> Self {
         Self {
             mesh_cols: 8,
             mesh_rows: 4,
             channel_map: ChannelMap::XorFold,
-            net: NetModel::Uniform,
-            hop_lat: 1,
-            req_base_lat: 0,
-            resp_base_lat: 0,
+            hop_lat: 0,
             mc_link_bw: 0,
         }
     }
 
-    /// A distance-modelled mesh: one-cycle hops, a base latency sized so
-    /// the *average* tile sees roughly the baseline's fixed `l3_lat`, the
-    /// double-fold channel map (safe at wide channel counts), and two
-    /// staged admissions per MC per cycle.
+    /// A distance-modelled mesh: one-cycle hops, the double-fold channel
+    /// map (safe at wide channel counts), and two staged admissions per
+    /// MC per cycle. Pair it with base latencies sized so the *average*
+    /// tile sees roughly the baseline's fixed `l3_lat` (the mesh configs
+    /// use 18 and 4).
     pub fn mesh(cols: usize, rows: usize) -> Self {
         Self {
             mesh_cols: cols,
             mesh_rows: rows,
             channel_map: ChannelMap::DoubleFold,
-            net: NetModel::Mesh,
             hop_lat: 1,
-            req_base_lat: 18,
-            resp_base_lat: 4,
             mc_link_bw: 2,
         }
     }
@@ -223,9 +201,10 @@ pub struct SystemConfig {
     pub l1_lat: u64,
     /// L2 hit latency, cycles.
     pub l2_lat: u64,
-    /// Tile → L3 network + L3 array latency, cycles.
+    /// Tile → L3 network + L3 array latency, cycles, before the
+    /// per-hop delay ([`Topology::hop_lat`]).
     pub l3_lat: Cycle,
-    /// L3/MC → tile response latency, cycles.
+    /// L3/MC → tile response latency, cycles, before the per-hop delay.
     pub resp_lat: Cycle,
     /// DRAM timing/geometry per controller.
     pub dram: DramConfig,
@@ -324,6 +303,8 @@ impl SystemConfig {
         c.cores = 64;
         c.mcs = 8;
         c.topology = Topology::mesh(8, 8);
+        c.l3_lat = 18;
+        c.resp_lat = 4;
         c.l3 = CacheConfig::with_capacity(32 * 1024 * 1024, 16);
         c.l3_mshrs = 1024;
         c.pacer_burst = c.derived_pacer_burst();
@@ -338,6 +319,8 @@ impl SystemConfig {
         c.cores = 256;
         c.mcs = 16;
         c.topology = Topology::mesh(16, 16);
+        c.l3_lat = 18;
+        c.resp_lat = 4;
         c.l3 = CacheConfig::with_capacity(64 * 1024 * 1024, 16);
         c.l3_mshrs = 2048;
         c.pacer_burst = c.derived_pacer_burst();

@@ -50,7 +50,7 @@ pub mod sched;
 pub mod system;
 pub mod tile;
 
-pub use config::{ChannelMap, NetModel, RegulationMode, SystemConfig, Topology, WbAccounting};
+pub use config::{ChannelMap, RegulationMode, SystemConfig, Topology, WbAccounting};
 pub use metrics::Metrics;
 pub use report::SystemReport;
 pub use system::{System, SystemBuilder};

@@ -1,16 +1,19 @@
 //! The on-chip interconnect as a modelled component, driven by
 //! [`Topology`]:
 //!
-//! * **request network** — tile → L3, per-tile delay derived from mesh
-//!   distance (or the uniform `l3_lat` under [`NetModel::Uniform`]);
-//! * **response network** — L3/MC → tile, per-(source, tile) delay;
+//! * **request network** — tile → L3, per-tile delay `l3_lat` plus
+//!   `hop_lat` per mesh hop;
+//! * **response network** — L3/MC → tile, per-(source, tile) delay
+//!   `resp_lat` plus `hop_lat` per hop;
 //! * **staging** — per-(MC, class) queues between the L3 miss path and
-//!   each controller's ingress port, drained round-robin across classes
-//!   (per-source-fair arbitration) with an optional per-cycle admission
-//!   bound (`mc_link_bw`).
+//!   each controller's ingress port, `hop_lat` per hop away, drained
+//!   round-robin across classes (per-source-fair arbitration) with an
+//!   optional per-cycle admission bound (`mc_link_bw`).
 //!
-//! Under the uniform defaults every delay table collapses to the fixed
-//! `l3_lat` / `resp_lat` constants and the staging delay to zero.
+//! One distance formula serves every machine: under the uniform
+//! topology (`hop_lat = 0`, `mc_link_bw = 0`) every delay table
+//! collapses to the fixed `l3_lat` / `resp_lat` constants and the
+//! staging delay to zero.
 //! [`Interconnect::next_event`] feeds the system's horizon min-combine,
 //! keeping cycle skipping sound. It is computed fresh on each probe: the
 //! probe runs only while every tile is parked, so no memo is kept.
@@ -23,7 +26,7 @@ use pabst_dram::{MemController, MemReq};
 use pabst_simkit::queue::VarDelayQueue;
 use pabst_simkit::Cycle;
 
-use crate::config::{NetModel, SystemConfig, Topology};
+use crate::config::{SystemConfig, Topology};
 
 /// A message travelling from a tile to the shared L3.
 #[derive(Debug, Clone, Copy)]
@@ -86,49 +89,29 @@ impl Interconnect {
     /// precomputing every delay table from the topology.
     pub fn new(cfg: &SystemConfig, classes: usize) -> Self {
         let t = cfg.topology;
-        let (req_lat, l3_resp_lat, mc_resp_lat, mc_req_lat, link_bw) = match t.net {
-            NetModel::Uniform => (
-                vec![cfg.l3_lat; cfg.cores],
-                vec![cfg.resp_lat; cfg.cores],
-                vec![vec![cfg.resp_lat; cfg.cores]; cfg.mcs],
-                vec![0; cfg.mcs],
-                0,
-            ),
-            NetModel::Mesh => {
-                let l3 = t.l3_pos();
-                let req = (0..cfg.cores)
-                    .map(|i| t.req_base_lat + t.hop_lat * Topology::hops(t.tile_pos(i), l3))
-                    .collect();
-                let l3_resp = (0..cfg.cores)
-                    .map(|i| t.resp_base_lat + t.hop_lat * Topology::hops(l3, t.tile_pos(i)))
-                    .collect();
-                let mc_resp = (0..cfg.mcs)
-                    .map(|k| {
-                        let mc = t.mc_pos(k, cfg.mcs);
-                        (0..cfg.cores)
-                            .map(|i| {
-                                t.resp_base_lat + t.hop_lat * Topology::hops(mc, t.tile_pos(i))
-                            })
-                            .collect()
-                    })
-                    .collect();
-                let mc_req = (0..cfg.mcs)
-                    .map(|k| t.hop_lat * Topology::hops(l3, t.mc_pos(k, cfg.mcs)))
-                    .collect();
-                (req, l3_resp, mc_resp, mc_req, t.mc_link_bw)
-            }
-        };
+        let l3 = t.l3_pos();
+        let req_lat =
+            (0..cfg.cores).map(|i| cfg.l3_lat + t.hop_lat * Topology::hops(t.tile_pos(i), l3));
+        let l3_resp_lat =
+            (0..cfg.cores).map(|i| cfg.resp_lat + t.hop_lat * Topology::hops(l3, t.tile_pos(i)));
+        let mc_resp_lat = (0..cfg.mcs).map(|k| {
+            let mc = t.mc_pos(k, cfg.mcs);
+            (0..cfg.cores)
+                .map(|i| cfg.resp_lat + t.hop_lat * Topology::hops(mc, t.tile_pos(i)))
+                .collect()
+        });
+        let mc_req_lat = (0..cfg.mcs).map(|k| t.hop_lat * Topology::hops(l3, t.mc_pos(k, cfg.mcs)));
         Self {
             req_net: VarDelayQueue::new(),
             resp_net: VarDelayQueue::new(),
             staged: (0..cfg.mcs).map(|_| (0..classes).map(|_| VecDeque::new()).collect()).collect(),
             staged_rr: vec![0; cfg.mcs],
             staged_pending: vec![0; cfg.mcs],
-            link_bw,
-            req_lat,
-            l3_resp_lat,
-            mc_resp_lat,
-            mc_req_lat,
+            link_bw: t.mc_link_bw,
+            req_lat: req_lat.collect(),
+            l3_resp_lat: l3_resp_lat.collect(),
+            mc_resp_lat: mc_resp_lat.collect(),
+            mc_req_lat: mc_req_lat.collect(),
             topo: t,
             mcs: cfg.mcs,
         }
@@ -325,10 +308,10 @@ mod tests {
         net.send_request(0, l3req(27));
         net.send_request(0, l3req(0));
         let first = net.req_net.next_ready().expect("two in flight");
-        assert_eq!(first, t.req_base_lat + t.hop_lat * near);
+        assert_eq!(first, cfg.l3_lat + t.hop_lat * near);
         assert_eq!(net.pop_request(first).map(|r| r.tile), Some(27), "nearer tile lands first");
         let second = net.req_net.next_ready().unwrap();
-        assert_eq!(second, t.req_base_lat + t.hop_lat * far);
+        assert_eq!(second, cfg.l3_lat + t.hop_lat * far);
         assert_eq!(net.pop_request(second).map(|r| r.tile), Some(0));
         // Staging pays the L3→MC hop before it becomes admissible.
         net.stage(0, 0, req(1, 0));
@@ -343,10 +326,6 @@ mod tests {
         let mut cfg = SystemConfig::baseline_32core();
         cfg.mcs = 1;
         cfg.topology.mc_link_bw = 2;
-        cfg.topology.net = NetModel::Mesh;
-        cfg.topology.req_base_lat = 0;
-        cfg.topology.resp_base_lat = 0;
-        cfg.topology.hop_lat = 0; // isolate the bandwidth bound
         let mut net = Interconnect::new(&cfg, 2);
         let shares = ShareTable::from_weights(&[1, 1]).unwrap();
         let mut mcs =

@@ -16,10 +16,15 @@
 //!   CPU2006 workloads the paper runs.
 //! * [`memcached::MemcachedGen`] — a closed-loop transaction server proxy
 //!   with per-transaction service-time markers (drives Fig. 9).
+//!
+//! [`builders`] assembles them into per-class core lists (one seeded
+//! generator per core over disjoint regions), the form
+//! `SystemBuilder::class` takes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod builders;
 pub mod chaser;
 pub mod memcached;
 pub mod region;
@@ -27,6 +32,7 @@ pub mod spec;
 pub mod stream;
 pub mod trace;
 
+pub use builders::{chasers, read_streamers, region_for, spec_cores, write_streamers};
 pub use chaser::ChaserGen;
 pub use memcached::MemcachedGen;
 pub use region::Region;

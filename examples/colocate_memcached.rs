@@ -9,10 +9,9 @@
 //! ```
 
 use pabst_cpu::Workload;
-use pabst_examples::region_for;
 use pabst_soc::config::{RegulationMode, SystemConfig};
 use pabst_soc::system::SystemBuilder;
-use pabst_workloads::{MemcachedGen, StreamGen};
+use pabst_workloads::{region_for, MemcachedGen, StreamGen};
 
 fn run(mode: RegulationMode) -> Result<(f64, u64, u64), Box<dyn std::error::Error>> {
     let server: Vec<Box<dyn Workload>> =

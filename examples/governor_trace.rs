@@ -5,15 +5,15 @@
 //! cargo run -p pabst-examples --bin governor_trace --release
 //! ```
 
-use pabst_examples::read_streamers;
 use pabst_simkit::bytes_per_cycle_to_gbps;
 use pabst_soc::config::{RegulationMode, SystemConfig};
 use pabst_soc::system::SystemBuilder;
+use pabst_workloads::read_streamers;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sys = SystemBuilder::new(SystemConfig::baseline_32core(), RegulationMode::Pabst)
-        .class(7, read_streamers(0, 16))
-        .class(3, read_streamers(1, 16))
+        .class(7, read_streamers(0, 16, 0))
+        .class(3, read_streamers(1, 16, 0))
         .build()?;
     sys.run_epochs(40);
 

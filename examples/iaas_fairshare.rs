@@ -10,11 +10,10 @@
 //! ```
 
 use pabst_cpu::Workload;
-use pabst_examples::{read_streamers, region_for};
 use pabst_simkit::bytes_per_cycle_to_gbps;
 use pabst_soc::config::{RegulationMode, SystemConfig};
 use pabst_soc::system::SystemBuilder;
-use pabst_workloads::StreamGen;
+use pabst_workloads::{read_streamers, region_for, StreamGen};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Tenants 0-2: memory-hungry streamers, 8 cores each.
@@ -26,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let mut b = SystemBuilder::new(SystemConfig::baseline_32core(), RegulationMode::Pabst);
     for t in 0..3 {
-        b = b.class(1, read_streamers(t, 8)).l3_ways(t * 4, 4);
+        b = b.class(1, read_streamers(t, 8, 0)).l3_ways(t * 4, 4);
     }
     let mut sys = b.class(1, resident).l3_ways(12, 4).build()?;
 

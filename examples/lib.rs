@@ -8,21 +8,6 @@
 //! * `iaas_fairshare` — four equal-share tenants with work conservation
 //!   (the Fig. 11 use case).
 //! * `governor_trace` — watch the governor's M/δM/SAT dynamics converge.
-
-use pabst_cpu::Workload;
-use pabst_workloads::{Region, StreamGen};
-
-/// A disjoint address region for (class, core).
-pub fn region_for(class: usize, core: usize, lines: u64) -> Region {
-    Region::new(((class as u64) << 40) + ((core as u64) << 32), lines)
-}
-
-/// `n` read streamers for a class.
-pub fn read_streamers(class: usize, n: usize) -> Vec<Box<dyn Workload>> {
-    (0..n)
-        .map(|i| {
-            Box::new(StreamGen::reads(region_for(class, i, 1 << 20), (class * 64 + i) as u64))
-                as Box<dyn Workload>
-        })
-        .collect()
-}
+//!
+//! They build their per-class core lists with the seeded builders in
+//! `pabst_workloads::builders`, at seed `0`.

@@ -5,17 +5,17 @@
 //! cargo run -p pabst-examples --bin quickstart --release
 //! ```
 
-use pabst_examples::read_streamers;
 use pabst_simkit::bytes_per_cycle_to_gbps;
 use pabst_soc::config::{RegulationMode, SystemConfig};
 use pabst_soc::system::SystemBuilder;
+use pabst_workloads::read_streamers;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Two QoS classes: weight 3 (75%) and weight 1 (25%), each running 16
     // bandwidth-hungry streaming cores.
     let mut sys = SystemBuilder::new(SystemConfig::baseline_32core(), RegulationMode::Pabst)
-        .class(3, read_streamers(0, 16))
-        .class(1, read_streamers(1, 16))
+        .class(3, read_streamers(0, 16, 0))
+        .class(1, read_streamers(1, 16, 0))
         .build()?;
 
     // 40 epochs of 10 µs each: the governor needs a handful of epochs to

@@ -5,8 +5,7 @@
 use pabst_cpu::Workload;
 use pabst_soc::config::{RegulationMode, SystemConfig};
 use pabst_soc::system::SystemBuilder;
-use pabst_tests::{read_streamers, region_for};
-use pabst_workloads::StreamGen;
+use pabst_workloads::{read_streamers, region_for, StreamGen};
 
 /// Builds: class 0 = one core streaming a 512 KiB region (fits its 4 MiB L3
 /// partition, exceeds its 256 KiB private L2 → all L2 misses, all L3 hits after
@@ -17,7 +16,7 @@ fn l3_resident_ipc(mode: RegulationMode) -> f64 {
     let mut sys = SystemBuilder::new(SystemConfig::baseline_32core(), mode)
         .class(1, resident)
         .l3_ways(0, 4)
-        .class(1, read_streamers(1, 16))
+        .class(1, read_streamers(1, 16, 0))
         .l3_ways(4, 12)
         .build()
         .unwrap();
@@ -45,7 +44,7 @@ fn l3_resident_class_consumes_no_memory_bandwidth() {
     let mut sys = SystemBuilder::new(SystemConfig::baseline_32core(), RegulationMode::Pabst)
         .class(1, resident)
         .l3_ways(0, 4)
-        .class(1, read_streamers(1, 16))
+        .class(1, read_streamers(1, 16, 0))
         .l3_ways(4, 12)
         .build()
         .unwrap();

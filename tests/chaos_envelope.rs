@@ -9,11 +9,11 @@ use pabst_bench::chaos::{self, Outcome, FIXTURE_INDEX};
 use pabst_bench::harness::run_sweep;
 use pabst_bench::obs::CliArgs;
 use pabst_bench::registry::{self, resilience_curve, MECHANISM_COMBOS};
-use pabst_bench::scenarios::read_streamers;
 use pabst_simkit::fault::FaultPlan;
 use pabst_simkit::invariant::ViolationPolicy;
 use pabst_soc::config::{RegulationMode, SystemConfig};
 use pabst_soc::system::{System, SystemBuilder};
+use pabst_workloads::read_streamers;
 
 // Long enough for the degraded decay (M += M/4 + 1 per stale epoch past
 // the staleness window) to climb from m_init to the degraded-M floor.

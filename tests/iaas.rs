@@ -4,8 +4,7 @@
 use pabst_cpu::Workload;
 use pabst_soc::config::{RegulationMode, SystemConfig};
 use pabst_soc::system::SystemBuilder;
-use pabst_tests::region_for;
-use pabst_workloads::{SpecProxyGen, SpecWorkload};
+use pabst_workloads::{region_for, SpecProxyGen, SpecWorkload};
 
 fn spec(class: usize, n: usize, w: SpecWorkload) -> Vec<Box<dyn Workload>> {
     (0..n)

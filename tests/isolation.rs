@@ -4,8 +4,9 @@
 use pabst_cpu::Workload;
 use pabst_soc::config::{RegulationMode, SystemConfig};
 use pabst_soc::system::SystemBuilder;
-use pabst_tests::{read_streamers, region_for};
-use pabst_workloads::{MemcachedGen, SpecProxyGen, SpecWorkload, StreamGen};
+use pabst_workloads::{
+    read_streamers, region_for, MemcachedGen, SpecProxyGen, SpecWorkload, StreamGen,
+};
 
 /// Fig. 10 (one representative point): a latency-sensitive SPEC proxy
 /// (mcf) on 16 cores with a 32:1 share against 16 streaming cores. The
@@ -40,7 +41,7 @@ fn pabst_recovers_spec_slowdown() {
         let mut sys = SystemBuilder::new(SystemConfig::baseline_32core(), mode)
             .class(32, spec(0))
             .l3_ways(0, 8)
-            .class(1, read_streamers(1, 16))
+            .class(1, read_streamers(1, 16, 0))
             .l3_ways(8, 8)
             .build()
             .unwrap();

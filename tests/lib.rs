@@ -2,47 +2,13 @@
 //!
 //! The test binaries in this package exercise the full modelled machine:
 //! cores → caches → pacers → network → L3 → priority arbiter → DRAM, with
-//! the governor feedback loop closed over the saturation signal.
+//! the governor feedback loop closed over the saturation signal. They
+//! build their per-class core lists with the seeded builders in
+//! `pabst_workloads::builders`, at seed `0`.
 
 use pabst_cpu::Workload;
 use pabst_soc::config::{RegulationMode, SystemConfig};
 use pabst_soc::system::{System, SystemBuilder};
-use pabst_workloads::{ChaserGen, Region, StreamGen};
-
-/// Address-space base for class `c`, core `i` (disjoint per core).
-pub fn region_for(class: usize, core: usize, lines: u64) -> Region {
-    Region::new(((class as u64) << 40) + ((core as u64) << 32), lines)
-}
-
-/// `n` read streamers for class `class`, each over its own large region.
-pub fn read_streamers(class: usize, n: usize) -> Vec<Box<dyn Workload>> {
-    (0..n)
-        .map(|i| {
-            Box::new(StreamGen::reads(region_for(class, i, 1 << 20), (class * 64 + i) as u64))
-                as Box<dyn Workload>
-        })
-        .collect()
-}
-
-/// `n` write streamers for class `class`.
-pub fn write_streamers(class: usize, n: usize) -> Vec<Box<dyn Workload>> {
-    (0..n)
-        .map(|i| {
-            Box::new(StreamGen::writes(region_for(class, i, 1 << 20), (class * 64 + i) as u64))
-                as Box<dyn Workload>
-        })
-        .collect()
-}
-
-/// `n` chaser instances (4 chains each) for class `class`.
-pub fn chasers(class: usize, n: usize) -> Vec<Box<dyn Workload>> {
-    (0..n)
-        .map(|i| {
-            Box::new(ChaserGen::new(region_for(class, i, 1 << 18), 4, (class * 64 + i) as u64))
-                as Box<dyn Workload>
-        })
-        .collect()
-}
 
 /// Builds a two-class 16+16-core system on the paper's baseline machine.
 pub fn two_class_32core(

@@ -10,7 +10,7 @@ use std::rc::Rc;
 use pabst_simkit::trace::{parse_line, EpochRecord, JsonlSink, RingSink};
 use pabst_soc::config::{RegulationMode, SystemConfig};
 use pabst_soc::system::{System, SystemBuilder};
-use pabst_tests::read_streamers;
+use pabst_workloads::read_streamers;
 
 /// An `io::Write` whose buffer outlives the sink, so the test can read
 /// what the system wrote without going through the filesystem.
@@ -29,8 +29,8 @@ impl io::Write for SharedBuf {
 
 fn traced_system(buf: SharedBuf) -> System {
     let mut sys = SystemBuilder::new(SystemConfig::small_test(), RegulationMode::Pabst)
-        .class(3, read_streamers(0, 2))
-        .class(1, read_streamers(1, 2))
+        .class(3, read_streamers(0, 2, 0))
+        .class(1, read_streamers(1, 2, 0))
         .build()
         .expect("valid trace test configuration");
     sys.add_trace_sink(Box::new(JsonlSink::new(buf)));

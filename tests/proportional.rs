@@ -4,12 +4,18 @@
 //! to a 70%/30% bandwidth division and hold it steadily.
 
 use pabst_soc::config::RegulationMode;
-use pabst_tests::{read_streamers, two_class_32core};
+use pabst_tests::two_class_32core;
+use pabst_workloads::read_streamers;
 
 #[test]
 fn stream_pair_converges_to_7_3_split() {
-    let mut sys =
-        two_class_32core(RegulationMode::Pabst, 7, 3, read_streamers(0, 16), read_streamers(1, 16));
+    let mut sys = two_class_32core(
+        RegulationMode::Pabst,
+        7,
+        3,
+        read_streamers(0, 16, 0),
+        read_streamers(1, 16, 0),
+    );
     // Warmup: let the governor find the saturation point.
     sys.run_epochs(30);
     sys.mark_measurement();
@@ -35,13 +41,23 @@ fn utilization_stays_high_under_pabst() {
     // Work conservation's flip side: throttling to the saturation point
     // must not leave the memory system idle. Total delivered bandwidth
     // should stay close to what an unregulated run achieves.
-    let mut unreg =
-        two_class_32core(RegulationMode::None, 1, 1, read_streamers(0, 16), read_streamers(1, 16));
+    let mut unreg = two_class_32core(
+        RegulationMode::None,
+        1,
+        1,
+        read_streamers(0, 16, 0),
+        read_streamers(1, 16, 0),
+    );
     unreg.run_epochs(20);
     let baseline = unreg.metrics().total_bytes_per_cycle(10);
 
-    let mut pabst =
-        two_class_32core(RegulationMode::Pabst, 7, 3, read_streamers(0, 16), read_streamers(1, 16));
+    let mut pabst = two_class_32core(
+        RegulationMode::Pabst,
+        7,
+        3,
+        read_streamers(0, 16, 0),
+        read_streamers(1, 16, 0),
+    );
     pabst.run_epochs(40);
     let regulated = pabst.metrics().total_bytes_per_cycle(25);
 

@@ -4,8 +4,7 @@
 use pabst_cpu::Workload;
 use pabst_soc::config::{RegulationMode, SystemConfig};
 use pabst_soc::system::SystemBuilder;
-use pabst_tests::{read_streamers, region_for};
-use pabst_workloads::SkewedStreamGen;
+use pabst_workloads::{read_streamers, region_for, SkewedStreamGen};
 
 fn skewed_total_bpc(per_mc: bool) -> f64 {
     let mut cfg = SystemConfig::baseline_32core();
@@ -18,7 +17,7 @@ fn skewed_total_bpc(per_mc: bool) -> f64 {
         .collect();
     let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)
         .class(1, skewed)
-        .class(1, read_streamers(1, 16))
+        .class(1, read_streamers(1, 16, 0))
         .build()
         .unwrap();
     sys.run_epochs(40);
@@ -47,8 +46,8 @@ fn per_mc_governors_preserve_proportions_for_uniform_traffic() {
     let mut cfg = SystemConfig::baseline_32core();
     cfg.per_mc_regulation = true;
     let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)
-        .class(7, read_streamers(0, 16))
-        .class(3, read_streamers(1, 16))
+        .class(7, read_streamers(0, 16, 0))
+        .class(3, read_streamers(1, 16, 0))
         .build()
         .unwrap();
     sys.run_epochs(50);

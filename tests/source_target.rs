@@ -16,7 +16,8 @@
 use pabst_simkit::stats::allocation_error_pct;
 use pabst_soc::config::RegulationMode;
 use pabst_soc::system::System;
-use pabst_tests::{chasers, read_streamers, two_class_32core};
+use pabst_tests::two_class_32core;
+use pabst_workloads::{chasers, read_streamers};
 
 fn alloc_error(mut sys: System) -> f64 {
     sys.run_epochs(60);
@@ -27,11 +28,11 @@ fn alloc_error(mut sys: System) -> f64 {
 }
 
 fn stream_stream(mode: RegulationMode) -> f64 {
-    alloc_error(two_class_32core(mode, 3, 1, read_streamers(0, 16), read_streamers(1, 16)))
+    alloc_error(two_class_32core(mode, 3, 1, read_streamers(0, 16, 0), read_streamers(1, 16, 0)))
 }
 
 fn chaser_stream(mode: RegulationMode) -> f64 {
-    alloc_error(two_class_32core(mode, 3, 1, chasers(0, 16), read_streamers(1, 16)))
+    alloc_error(two_class_32core(mode, 3, 1, chasers(0, 16, 0), read_streamers(1, 16, 0)))
 }
 
 #[test]

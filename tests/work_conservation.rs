@@ -4,8 +4,7 @@
 use pabst_cpu::Workload;
 use pabst_soc::config::{RegulationMode, SystemConfig};
 use pabst_soc::system::SystemBuilder;
-use pabst_tests::{read_streamers, region_for};
-use pabst_workloads::{PeriodicStreamGen, StreamGen};
+use pabst_workloads::{read_streamers, region_for, PeriodicStreamGen, StreamGen};
 
 /// Fig. 6: a constant streamer with only a 30% share consumes nearly the
 /// whole system when the 70%-share periodic streamer is in its
@@ -28,7 +27,7 @@ fn excess_bandwidth_not_wasted_when_partner_idles() {
         .collect();
     let mut sys = SystemBuilder::new(SystemConfig::baseline_32core(), RegulationMode::Pabst)
         .class(7, periodic)
-        .class(3, read_streamers(1, 16))
+        .class(3, read_streamers(1, 16, 0))
         .build()
         .unwrap();
 
