@@ -317,6 +317,21 @@ pub struct MemController {
     awaiting_bus: Vec<PendingBurst>,
     /// Scheduled bursts waiting for their data to finish transferring.
     inflight: Vec<(QueuedReq, Cycle)>,
+    /// The back end picks nothing before this cycle: set by a failed pick
+    /// to the earliest `rdy` over the banks with queued work (`Cycle::MAX`
+    /// with none), cleared by an accept or an issue, the only events that
+    /// change a bank's queued work, its `rdy` or the queue the back end
+    /// picks from. 0 when no pick has failed since.
+    issue_idle_until: Cycle,
+    /// The bus scheduler books nothing before this cycle: set by a scan
+    /// that found no eligible burst to the earliest `ready_at` in the data
+    /// buffer (`Cycle::MAX` when empty), cleared when a burst joins it.
+    /// Eligibility needs a booking to move `bus_free_at`, which needs an
+    /// eligible burst, so only a new burst or the clock can change it.
+    bus_idle_until: Cycle,
+    /// The earliest `done_at` in `inflight` (`Cycle::MAX` when empty):
+    /// no completion surfaces before it.
+    next_done: Cycle,
     bus_free_at: Cycle,
     last_dir_write: bool,
     draining_writes: bool,
@@ -361,6 +376,9 @@ impl MemController {
             satmon: SatMonitor::new(cfg.read_q_cap),
             awaiting_bus: Vec::new(),
             inflight: Vec::new(),
+            issue_idle_until: 0,
+            bus_idle_until: 0,
+            next_done: Cycle::MAX,
             bus_free_at: 0,
             last_dir_write: false,
             draining_writes: false,
@@ -391,10 +409,20 @@ impl MemController {
                 Ok(())
             }
             Err(r) => {
-                self.ingress_rejects += 1;
+                self.refuse();
                 Err(r)
             }
         }
+    }
+
+    /// Counts one request refused at a full ingress without offering it:
+    /// for a caller that knows the ingress is full (see
+    /// [`MemController::can_accept`]) and would otherwise build a request
+    /// only to have [`MemController::push`] refuse it. The one path that
+    /// counts `ingress_rejects`.
+    pub fn refuse(&mut self) {
+        debug_assert!(!self.can_accept(), "refusing with ingress room");
+        self.ingress_rejects += 1;
     }
 
     /// True when the ingress port can accept a request this cycle.
@@ -404,6 +432,11 @@ impl MemController {
 
     /// Advances the controller one cycle, appending accesses whose data
     /// burst completed this cycle to `out`.
+    ///
+    /// The back end, bus and completion stages each run only from the
+    /// cycle their own last scan recorded as the earliest one that can
+    /// act (see `issue_idle_until`, `bus_idle_until`, `next_done`); debug
+    /// builds check that every skipped stage would have been a no-op.
     pub fn step_into(&mut self, now: Cycle, out: &mut Vec<Completion>) {
         self.satmon.sample(self.read_q.len());
         if self.pending() == 0 {
@@ -413,9 +446,21 @@ impl MemController {
         }
         self.accept_from_ingress(now);
         self.update_drain_mode();
-        self.back_end_issue(now);
-        self.bus_schedule(now);
-        self.collect_completions_into(now, out);
+        if now >= self.issue_idle_until {
+            self.back_end_issue(now);
+        } else {
+            debug_assert!(self.pick(now, self.use_writes()).is_none(), "gated issue would pick");
+        }
+        if now >= self.bus_idle_until {
+            self.bus_schedule(now);
+        } else {
+            debug_assert!(self.bus_pick(now).is_none(), "gated bus would book");
+        }
+        if now >= self.next_done {
+            self.collect_completions_into(now, out);
+        } else {
+            debug_assert!(self.inflight.iter().all(|&(_, at)| at > now), "gated completion");
+        }
     }
 
     /// Computes this controller's SAT bit for the epoch that just ended and
@@ -612,6 +657,7 @@ impl MemController {
             let prio = if self.arbiter.uses_deadlines() { deadline } else { VirtualDeadline(0) };
             let e = QueuedReq { req, deadline, key: (prio, self.seq), enq_at: now, bank, row };
             q.push(e, self.banks[bank as usize].open_row);
+            self.issue_idle_until = 0;
             debug_assert!(self.nominees_fresh(), "stale nominees after accept");
         }
     }
@@ -631,17 +677,27 @@ impl MemController {
     /// nomination wins the data-buffer slot. Writes are drained in batches
     /// between the watermarks and opportunistically when no read is
     /// pending.
+    ///
+    /// A failed pick records the earliest cycle a bank with queued work
+    /// can next start a command, and the back end rests until then.
     fn back_end_issue(&mut self, now: Cycle) {
         for _ in 0..2 {
             if self.awaiting_bus.len() >= self.cfg.data_buf_cap {
                 break;
             }
-            let use_writes =
-                self.draining_writes || (self.read_q.is_empty() && !self.write_q.is_empty());
-            if !self.issue_one(now, use_writes) {
+            if !self.issue_one(now, self.use_writes()) {
+                self.issue_idle_until = set_bits(self.read_q.occupied | self.write_q.occupied)
+                    .map(|b| self.banks[b].rdy)
+                    .min()
+                    .unwrap_or(Cycle::MAX);
                 break;
             }
         }
+    }
+
+    /// Whether the back end picks from the write queue this cycle.
+    fn use_writes(&self) -> bool {
+        self.draining_writes || (self.read_q.is_empty() && !self.write_q.is_empty())
     }
 
     /// Selects and issues one request from the chosen front-end queue.
@@ -650,6 +706,7 @@ impl MemController {
         let Some((b, pos, bypass)) = self.pick(now, from_writes) else {
             return false;
         };
+        self.issue_idle_until = 0;
         let bank = &mut self.banks[b];
         bank.hit_streak = if bypass { bank.hit_streak + 1 } else { 0 };
         let e = self.front_mut(from_writes).take(b, pos);
@@ -774,12 +831,16 @@ impl MemController {
             (false, true) => 3,
         };
         self.awaiting_bus.push(PendingBurst { e, ready_at: col_cmd + t_cl, cost });
+        self.bus_idle_until = 0;
     }
 
     /// The per-burst bus scheduler: each time the data bus approaches
     /// free, pick among *ready* bursts by priority — this is where the
     /// PABST arbiter actually reorders service, so a prioritized class's
     /// data jumps every other bank's completed access.
+    ///
+    /// A scan that finds no burst ready records the earliest `ready_at`
+    /// in the buffer, and the scheduler rests until then.
     fn bus_schedule(&mut self, now: Cycle) {
         let (t_burst, t_turn) =
             (self.cfg.eff(self.cfg.t_burst), self.cfg.eff(self.cfg.t_turnaround));
@@ -787,15 +848,11 @@ impl MemController {
         if self.bus_free_at > now + t_burst {
             return;
         }
-        let prefer_write = self.draining_writes;
-        let pick = self
-            .awaiting_bus
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.ready_at <= self.bus_free_at.max(now))
-            .min_by_key(|(_, p)| (p.e.req.is_write != prefer_write, p.e.key))
-            .map(|(i, _)| i);
-        let Some(i) = pick else { return };
+        let Some(i) = self.bus_pick(now) else {
+            self.bus_idle_until =
+                self.awaiting_bus.iter().map(|p| p.ready_at).min().unwrap_or(Cycle::MAX);
+            return;
+        };
         let p = self.awaiting_bus.swap_remove(i);
         let bus_earliest = if p.e.req.is_write != self.last_dir_write {
             self.bus_free_at + t_turn
@@ -811,12 +868,33 @@ impl MemController {
             self.arbiter.on_picked(p.e.req.class, p.e.deadline, p.e.seq(), p.e.bank, p.cost);
         }
         self.inflight.push((p.e, data_done));
+        self.next_done = self.next_done.min(data_done);
     }
 
+    /// The burst the bus scheduler books at `now` once the booking window
+    /// is open, as an index into `awaiting_bus`: the highest-priority one
+    /// whose data is ready, in the drain mode's direction first.
+    fn bus_pick(&self, now: Cycle) -> Option<usize> {
+        let prefer_write = self.draining_writes;
+        self.awaiting_bus
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.ready_at <= self.bus_free_at.max(now))
+            .min_by_key(|(_, p)| (p.e.req.is_write != prefer_write, p.e.key))
+            .map(|(i, _)| i)
+    }
+
+    /// Surfaces the bursts whose data finished by `now` and records the
+    /// earliest `done_at` left in flight.
     fn collect_completions_into(&mut self, now: Cycle, done: &mut Vec<Completion>) {
         let mut i = 0;
+        self.next_done = Cycle::MAX;
         while i < self.inflight.len() {
-            if self.inflight[i].1 <= now {
+            let at = self.inflight[i].1;
+            if at > now {
+                self.next_done = self.next_done.min(at);
+                i += 1;
+            } else {
                 let (e, _) = self.inflight.swap_remove(i);
                 self.stats.bytes[e.req.class.index()] += LINE_BYTES;
                 if e.req.is_write {
@@ -832,8 +910,6 @@ impl MemController {
                     is_write: e.req.is_write,
                     line: e.req.line,
                 });
-            } else {
-                i += 1;
             }
         }
     }

@@ -15,8 +15,9 @@
 //! collapses to the fixed `l3_lat` / `resp_lat` constants and the
 //! staging delay to zero.
 //! [`Interconnect::next_event`] feeds the system's horizon min-combine,
-//! keeping cycle skipping sound. It is computed fresh on each probe: the
-//! probe runs only while every tile is parked, so no memo is kept.
+//! keeping cycle skipping sound. Its staged part reads the per-controller
+//! earliest-head memo the drain keeps; the network part is computed fresh
+//! on each probe, which runs only while every tile is parked.
 
 use std::collections::VecDeque;
 
@@ -67,9 +68,13 @@ pub struct Interconnect {
     pub(crate) staged: Vec<Vec<VecDeque<(Cycle, MemReq)>>>,
     /// Round-robin cursor per MC over the class queues.
     staged_rr: Vec<usize>,
-    /// Total requests staged per MC across class queues; lets the drain
-    /// and the horizon skip controllers with nothing staged.
+    /// Total requests staged per MC across class queues.
     staged_pending: Vec<usize>,
+    /// Earliest ready-at-ingress cycle over each MC's class-queue heads
+    /// (`Cycle::MAX` with nothing staged): lowered by `stage`, rescanned
+    /// over the heads on a pop. The drain skips a controller whose head
+    /// is not yet admissible, and the horizon reads it for the staged part.
+    staged_head: Vec<Cycle>,
     /// Staged→ingress admissions per MC per cycle (0 = unbounded).
     link_bw: u64,
     /// Tile → L3 request latency, per tile.
@@ -107,6 +112,7 @@ impl Interconnect {
             staged: (0..cfg.mcs).map(|_| (0..classes).map(|_| VecDeque::new()).collect()).collect(),
             staged_rr: vec![0; cfg.mcs],
             staged_pending: vec![0; cfg.mcs],
+            staged_head: vec![Cycle::MAX; cfg.mcs],
             link_bw: t.mc_link_bw,
             req_lat: req_lat.collect(),
             l3_resp_lat: l3_resp_lat.collect(),
@@ -162,8 +168,16 @@ impl Interconnect {
     /// Stages a memory request toward controller `mc`'s ingress; it
     /// becomes admissible after the L3→MC hop delay.
     pub(crate) fn stage(&mut self, now: Cycle, mc: usize, req: MemReq) {
-        self.staged[mc][req.class.index()].push_back((now + self.mc_req_lat[mc], req));
+        let ready = now + self.mc_req_lat[mc];
+        self.staged[mc][req.class.index()].push_back((ready, req));
         self.staged_pending[mc] += 1;
+        self.staged_head[mc] = self.staged_head[mc].min(ready);
+    }
+
+    /// The earliest ready cycle over `queues`' heads, `Cycle::MAX` when
+    /// all are empty.
+    fn earliest_head(queues: &[VecDeque<(Cycle, MemReq)>]) -> Cycle {
+        queues.iter().filter_map(|q| q.front()).map(|&(ready, _)| ready).min().unwrap_or(Cycle::MAX)
     }
 
     /// Drains staged requests into MC ingress ports, round-robin across
@@ -176,33 +190,25 @@ impl Interconnect {
     /// controller. Bounded in practice by the L2/L3 MSHR budgets.
     pub(crate) fn drain_into(&mut self, now: Cycle, mcs: &mut [MemController]) {
         for (k, queues) in self.staged.iter_mut().enumerate() {
-            if self.staged_pending[k] == 0 {
-                continue;
-            }
-            let n = queues.len();
             let mut budget = if self.link_bw == 0 { u64::MAX } else { self.link_bw };
-            'mc: while budget > 0 {
-                let mut progressed = false;
-                for off in 0..n {
-                    let c = (self.staged_rr[k] + off) % n;
-                    if let Some(&(ready, req)) = queues[c].front() {
-                        if ready > now {
-                            continue; // still on the L3→MC hop
-                        }
-                        if mcs[k].push(req).is_err() {
-                            break 'mc; // ingress full (reject counted)
-                        }
-                        queues[c].pop_front();
-                        self.staged_pending[k] -= 1;
-                        self.staged_rr[k] = (c + 1) % n;
-                        budget -= 1;
-                        progressed = true;
-                        break;
-                    }
-                }
-                if !progressed {
+            while budget > 0 && self.staged_head[k] <= now {
+                // An admissible head meets a full ingress: the retry is
+                // refused, and the round-robin cursor stays where it is.
+                if !mcs[k].can_accept() {
+                    mcs[k].refuse();
                     break;
                 }
+                let n = queues.len();
+                let c = (0..n)
+                    .map(|off| (self.staged_rr[k] + off) % n)
+                    .find(|&c| queues[c].front().is_some_and(|&(ready, _)| ready <= now))
+                    .expect("the head memo promises an admissible head");
+                let (_, req) = queues[c].pop_front().expect("found non-empty");
+                mcs[k].push(req).expect("the ingress had room");
+                self.staged_pending[k] -= 1;
+                self.staged_head[k] = Self::earliest_head(queues);
+                self.staged_rr[k] = (c + 1) % n;
+                budget -= 1;
             }
         }
     }
@@ -218,8 +224,8 @@ impl Interconnect {
     }
 
     /// Iterates `(mc, counted, actual)` staging conservation pairs for the
-    /// epoch invariant checker: the pending counter that gates the drain must
-    /// agree with the class-queue contents.
+    /// epoch invariant checker: the pending counter must agree with the
+    /// class-queue contents.
     pub fn staged_conservation(&self) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
         self.staged.iter().enumerate().map(|(k, queues)| {
             let actual: usize = queues.iter().map(VecDeque::len).sum();
@@ -227,10 +233,22 @@ impl Interconnect {
         })
     }
 
+    /// Iterates `(mc, memo, actual)` earliest-head pairs for the epoch
+    /// invariant checker: the memo that gates the drain must equal the
+    /// earliest ready cycle over the class-queue heads (`u64::MAX` when
+    /// nothing is staged).
+    pub(crate) fn staged_heads(&self) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
+        self.staged
+            .iter()
+            .enumerate()
+            .map(|(k, queues)| (k, self.staged_head[k], Self::earliest_head(queues)))
+    }
+
     /// The interconnect's event horizon: the earliest cycle a message can
     /// be delivered or a staged request admitted. A staged head already
     /// past its hop delay acts *every* cycle (each drain attempt can
-    /// mutate an ingress reject counter), so it contributes `now`.
+    /// mutate an ingress reject counter), so it contributes `now`; the
+    /// per-controller head memo answers without walking the class queues.
     ///
     /// No `accrue_skip` counterpart exists: every counter here mutates
     /// on queue activity, never once-per-cycle, so a dead window leaves
@@ -241,14 +259,9 @@ impl Interconnect {
         let mut h = Horizon::new();
         h.merge(self.req_net.next_ready());
         h.merge(self.resp_net.next_ready());
-        for (k, queues) in self.staged.iter().enumerate() {
-            if self.staged_pending[k] == 0 {
-                continue;
-            }
-            for q in queues {
-                if let Some(&(ready, _)) = q.front() {
-                    h.add(ready.max(now));
-                }
+        for &head in &self.staged_head {
+            if head != Cycle::MAX {
+                h.add(head.max(now));
             }
         }
         h.get()
@@ -261,6 +274,7 @@ mod tests {
     use crate::config::ChannelMap;
     use pabst_core::qos::ShareTable;
     use pabst_dram::ArbiterMode;
+    use pabst_simkit::rng::SimRng;
 
     fn req(line: u64, class: usize) -> MemReq {
         MemReq {
@@ -346,6 +360,128 @@ mod tests {
         // After two rounds each class got two admissions (fairness), even
         // though class 0 staged three times as many.
         assert_eq!(mcs[0].pending(), 4);
+    }
+
+    /// The drain as it was before the head memo, verbatim: every cycle it
+    /// walks each controller with staged work round-robin and offers the
+    /// first admissible head, so a full ingress refuses (and counts) one
+    /// retry per cycle.
+    fn retry_every_cycle_drain(net: &mut Interconnect, now: Cycle, mcs: &mut [MemController]) {
+        for (k, queues) in net.staged.iter_mut().enumerate() {
+            if net.staged_pending[k] == 0 {
+                continue;
+            }
+            let n = queues.len();
+            let mut budget = if net.link_bw == 0 { u64::MAX } else { net.link_bw };
+            'mc: while budget > 0 {
+                let mut progressed = false;
+                for off in 0..n {
+                    let c = (net.staged_rr[k] + off) % n;
+                    if let Some(&(ready, req)) = queues[c].front() {
+                        if ready > now {
+                            continue; // still on the L3→MC hop
+                        }
+                        if mcs[k].push(req).is_err() {
+                            break 'mc; // ingress full (reject counted)
+                        }
+                        queues[c].pop_front();
+                        net.staged_pending[k] -= 1;
+                        net.staged_rr[k] = (c + 1) % n;
+                        budget -= 1;
+                        progressed = true;
+                        break;
+                    }
+                }
+                if !progressed {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Runs the memo drain and the retry-every-cycle drain side by side on
+    /// one seeded staging stream and compares the two machines after every
+    /// cycle: each controller's snapshot (`ingress_rejects`, accepted and
+    /// queue depths) and completions, the staged queues, `staged_rr` and
+    /// `staged_pending`, and the head memo against the class heads. Every
+    /// eighth cycle the controllers are compared in full, which covers the
+    /// ingress contents in admission order and the acceptance number each
+    /// queued request was given.
+    fn drain_matches_the_retry_oracle(mut cfg: SystemConfig, ingress: usize, link_bw: u64) {
+        const CLASSES: usize = 3;
+        cfg.mcs = 4;
+        cfg.dram.ingress_cap = ingress;
+        cfg.topology.mc_link_bw = link_bw;
+        let case = format!("hop_lat {} ingress {ingress} link_bw {link_bw}", cfg.topology.hop_lat);
+        let shares = ShareTable::from_weights(&[3, 2, 1]).unwrap();
+        let build = || -> (Interconnect, Vec<MemController>) {
+            let mcs = (0..cfg.mcs)
+                .map(|_| MemController::new(cfg.dram, ArbiterMode::Edf, &shares, 128))
+                .collect();
+            (Interconnect::new(&cfg, CLASSES), mcs)
+        };
+        let (mut memo, mut memo_mcs) = build();
+        let (mut oracle, mut oracle_mcs) = build();
+        let mut rng = SimRng::seed_from_u64(0xd2a1_0000 ^ (ingress as u64) << 8 ^ link_bw);
+        let (mut done_memo, mut done_oracle) = (Vec::new(), Vec::new());
+        let mut token = 0;
+        for now in 0..2_000 {
+            done_memo.clear();
+            done_oracle.clear();
+            for (a, b) in memo_mcs.iter_mut().zip(&mut oracle_mcs) {
+                a.step_into(now, &mut done_memo);
+                b.step_into(now, &mut done_oracle);
+            }
+            assert_eq!(done_memo, done_oracle, "{case}: completions at cycle {now}");
+            memo.drain_into(now, &mut memo_mcs);
+            retry_every_cycle_drain(&mut oracle, now, &mut oracle_mcs);
+            for (k, (a, b)) in memo_mcs.iter().zip(&oracle_mcs).enumerate() {
+                assert_eq!(a.snapshot(), b.snapshot(), "{case}: mc {k} at cycle {now}");
+            }
+            if now % 8 == 0 {
+                assert_eq!(
+                    format!("{memo_mcs:?}"),
+                    format!("{oracle_mcs:?}"),
+                    "{case}: controllers at cycle {now}"
+                );
+            }
+            assert_eq!(format!("{:?}", memo.staged), format!("{:?}", oracle.staged), "{case}");
+            assert_eq!(memo.staged_rr, oracle.staged_rr, "{case}: staged_rr at cycle {now}");
+            assert_eq!(memo.staged_pending, oracle.staged_pending, "{case}: at cycle {now}");
+            for (k, m, head) in memo.staged_heads() {
+                assert_eq!(m, head, "{case}: head memo of mc {k} at cycle {now}");
+            }
+            // Bursty staging: quiet stretches let the ingress drain, bursts
+            // overfill it, and a skewed class mix keeps the round-robin
+            // cursor moving.
+            let burst = if (now / 200) % 3 == 0 { 0 } else { rng.gen_range(0..5) };
+            for _ in 0..burst {
+                token += 1;
+                let class = [0, 0, 0, 1, 2][rng.gen_range(0..5) as usize];
+                let req = MemReq {
+                    line: LineAddr::new(rng.gen_range(0..1 << 20)),
+                    class: QosId::new(class),
+                    is_write: rng.gen_bool(0.2),
+                    token,
+                };
+                let mc = rng.gen_range(0..cfg.mcs as u64) as usize;
+                memo.stage(now, mc, req);
+                oracle.stage(now, mc, req);
+            }
+        }
+        let rejects: u64 = memo_mcs.iter().map(MemController::ingress_rejects).sum();
+        assert!(rejects > 0, "{case}: the stream never filled an ingress");
+    }
+
+    #[test]
+    fn drain_matches_the_retry_every_cycle_oracle() {
+        for cfg in [SystemConfig::baseline_32core(), SystemConfig::mesh_64()] {
+            for ingress in [1, 4] {
+                for link_bw in [0, 1, 2] {
+                    drain_matches_the_retry_oracle(cfg, ingress, link_bw);
+                }
+            }
+        }
     }
 
     #[test]

@@ -939,11 +939,15 @@ impl System {
                 format!("arbiter={} pending={}", mc.arbiter_name(), snap.pending)
             });
         }
-        // The staged-request counter that gates the per-cycle drain must
-        // agree with the actual class-queue contents (per-source ingress
-        // fairness rests on that counter).
+        // The staged-request counter must agree with the actual
+        // class-queue contents, and the earliest-head memo that gates the
+        // per-cycle drain with the class-queue heads (a memo set too late
+        // would hold back admissions and their ingress rejects).
         for (k, counted, actual) in self.net.staged_conservation() {
             inv.check_conserved("net staged", k, counted, actual, 0, String::new);
+        }
+        for (k, memo, head) in self.net.staged_heads() {
+            inv.check_conserved("net staged head", k, memo, head, 0, String::new);
         }
         let sat_epochs = self.metrics.sat_series.iter().filter(|&&s| s).count() as u64;
         inv.check_le("sat duty", 0, sat_epochs, self.metrics.sat_series.len() as u64, String::new);
