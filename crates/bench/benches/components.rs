@@ -7,7 +7,7 @@
 use pabst_bench::timing::{bench, bench_batched};
 use pabst_cache::{CacheConfig, LineAddr, MshrTable, SetAssocCache};
 use pabst_core::arbiter::VirtualClocks;
-use pabst_core::governor::{MonitorConfig, SystemMonitor};
+use pabst_core::governor::{GovernorKind, MonitorConfig};
 use pabst_core::pacer::Pacer;
 use pabst_core::qos::{QosId, ShareTable};
 use pabst_dram::{ArbiterMode, DramConfig, MemController, MemReq};
@@ -36,7 +36,7 @@ fn bench_arbiter() {
 }
 
 fn bench_governor() {
-    let mut mon = SystemMonitor::new(MonitorConfig::default());
+    let mut mon = GovernorKind::Sat.build(MonitorConfig::default());
     let mut i = 0u32;
     bench("governor/on_epoch", 1_000_000, || {
         i = i.wrapping_add(1);

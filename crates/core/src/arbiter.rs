@@ -18,7 +18,7 @@
 //! EDF rule in both the front-end and back-end queues (the embedding in
 //! `pabst-dram` does the latter).
 
-use crate::qos::{QosId, Stride, MAX_CLASSES};
+use crate::qos::{QosId, MAX_CLASSES};
 
 /// Stride scale used by the arbiter's virtual clocks: the highest-weight
 /// class advances its clock by this many virtual ticks per request, so the
@@ -66,11 +66,6 @@ impl VirtualClocks {
             strides[id.index()] = shares.scaled_stride(id, ARBITER_STRIDE_SCALE).get();
         }
         Self { clocks: [0; MAX_CLASSES], strides, classes: shares.classes(), slack, last_picked: 0 }
-    }
-
-    /// Updates the stride of one class (software reprogramming a share).
-    pub fn set_stride(&mut self, id: QosId, stride: Stride) {
-        self.strides[id.index()] = stride.get();
     }
 
     /// Stamps a newly accepted request from `id`: returns its virtual
@@ -121,29 +116,9 @@ impl VirtualClocks {
         self.clocks[i] = self.clocks[i].saturating_add(self.strides[i].saturating_mul(cost_units));
     }
 
-    /// Selects, among `candidates` of `(QosId, VirtualDeadline)`, the index
-    /// of the entry with the earliest deadline (FIFO order breaks ties).
-    /// Returns `None` when `candidates` is empty.
-    pub fn pick_earliest<I>(candidates: I) -> Option<usize>
-    where
-        I: IntoIterator<Item = VirtualDeadline>,
-    {
-        candidates.into_iter().enumerate().min_by_key(|&(i, d)| (d, i)).map(|(i, _)| i)
-    }
-
     /// Current virtual time of `id`.
     pub fn clock(&self, id: QosId) -> u64 {
         self.clocks[id.index()]
-    }
-
-    /// Number of classes these clocks were built for.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// The most recent serviced deadline (slack reference point).
-    pub fn last_picked(&self) -> u64 {
-        self.last_picked
     }
 }
 
@@ -187,11 +162,12 @@ mod tests {
         let busy = QosId::new(0);
         let idle = QosId::new(1);
         // Busy class runs far ahead and the arbiter services it.
+        let mut last = 0;
         for _ in 0..50 {
             let d = vc.stamp(busy);
             vc.on_picked(d);
+            last = d.0;
         }
-        let last = vc.last_picked();
         assert!(last > 100);
         // Idle class wakes: its stamp is capped at last - slack, not 0.
         let d = vc.stamp(idle);
@@ -209,13 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn pick_earliest_selects_minimum_fifo_ties() {
-        let picks = vec![VirtualDeadline(5), VirtualDeadline(2), VirtualDeadline(2)];
-        assert_eq!(VirtualClocks::pick_earliest(picks), Some(1));
-        assert_eq!(VirtualClocks::pick_earliest(Vec::<VirtualDeadline>::new()), None);
-    }
-
-    #[test]
     fn backlogged_service_ratio_tracks_weights() {
         // Model both classes always having a request queued: the EDF rule
         // must service them in ~3:1.
@@ -226,7 +195,8 @@ mod tests {
         let mut pending = [(a, vc.stamp(a)), (b, vc.stamp(b))];
         let mut served = [0u64; 2];
         for _ in 0..4000 {
-            let idx = VirtualClocks::pick_earliest(pending.iter().map(|&(_, d)| d)).unwrap();
+            // Earliest deadline first, the lower index on a tie.
+            let idx = usize::from(pending[1].1 < pending[0].1);
             let (id, d) = pending[idx];
             vc.on_picked(d);
             served[id.index()] += 1;
@@ -234,17 +204,6 @@ mod tests {
         }
         let ratio = served[0] as f64 / served[1] as f64;
         assert!((ratio - 3.0).abs() < 0.05, "ratio = {ratio}");
-    }
-
-    #[test]
-    fn set_stride_reprograms_share() {
-        // Software quadruples class 1's share: its (scaled) stride drops to
-        // a quarter and its clock now advances 4x slower.
-        let mut vc = clocks(&[1, 1], u64::MAX);
-        vc.set_stride(QosId::new(1), Stride::from_raw(ARBITER_STRIDE_SCALE / 4));
-        let _ = vc.stamp(QosId::new(0));
-        let _ = vc.stamp(QosId::new(1));
-        assert!(vc.clock(QosId::new(1)) < vc.clock(QosId::new(0)));
     }
 }
 
@@ -280,12 +239,14 @@ mod fqm_tests {
         let shares = ShareTable::from_weights(&[1, 1]).unwrap();
         let mut vc = VirtualClocks::new(&shares, 50);
         let busy = QosId::new(0);
+        let mut last = 0;
         for _ in 0..20 {
             let d = vc.stamp(busy);
             vc.on_picked(d);
+            last = d.0;
         }
         let idle = QosId::new(1);
         let d = vc.stamp_deferred(idle);
-        assert_eq!(d.0, vc.last_picked() - 50);
+        assert_eq!(d.0, last - 50);
     }
 }

@@ -3,7 +3,7 @@
 //! Every private cache hosts a governor, but all governors run the same
 //! deterministic algorithm on the same two inputs — the epoch heartbeat and
 //! the global saturation bit — so they stay in lockstep without
-//! communicating. The [`SystemMonitor`] computes the system-wide multiplier
+//! communicating. The [`Governor`] computes the system-wide multiplier
 //! `M`; the [`RateGenerator`] scales `M` by a class stride (and active
 //! thread count) into a per-source request *period* in cycles.
 //!
@@ -30,6 +30,7 @@
 //! * `E` counts the consecutive epochs (including the current one) with an
 //!   unchanged rate direction; a flip resets it to 1.
 
+use crate::lms::Lms;
 use crate::qos::Stride;
 use pabst_simkit::Cycle;
 use std::fmt;
@@ -52,7 +53,7 @@ pub enum DeltaDir {
     Down,
 }
 
-/// Configuration for the [`SystemMonitor`] feedback loop.
+/// Configuration for the [`Governor`] feedback loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonitorConfig {
     /// Initial multiplier value.
@@ -182,45 +183,15 @@ impl MonitorConfig {
     }
 }
 
-/// The source-side rate-governor seam: any mechanism that turns per-epoch
-/// congestion observations into a rate multiplier `M` can stand in for
-/// the paper's multiplicative SAT loop. Object-safe so `soc::System`
-/// holds governors behind `Box<dyn Governor>`.
-///
-/// Implementations must be deterministic: identical observation sequences
-/// must produce identical `M` sequences (the lockstep-replica property
-/// PABST relies on to avoid inter-governor communication).
-pub trait Governor: fmt::Debug {
-    /// Advances one epoch. `Some(sat)` is a fresh congestion observation;
-    /// `None` means the broadcast was lost this epoch and the governor
-    /// must apply its fail-safe staleness policy (hold briefly, then
-    /// decay the rate toward a conservative floor). Returns the
-    /// multiplier `M` in force for the next epoch.
-    fn on_epoch(&mut self, sat: Option<bool>) -> u32;
-
-    /// The multiplier currently in force.
-    fn m(&self) -> u32;
-
-    /// Total epochs spent under the degraded (stale-feedback) policy.
-    fn degraded_epochs(&self) -> u64;
-
-    /// A typed point-in-time view of the governor's state machine for the
-    /// trace layer. Pure.
-    fn snapshot(&self) -> MonitorSnapshot;
-
-    /// Stable mechanism label for reports and provenance hashing.
-    fn label(&self) -> &'static str;
-}
-
-/// Which [`Governor`] implementation a system runs (the source-side half
-/// of the mechanism selection carried by `soc::SystemConfig`).
+/// Which fresh-sample law a [`Governor`] runs (the source-side half of
+/// the mechanism selection carried by `soc::SystemConfig`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GovernorKind {
-    /// The paper's multiplicative SAT feedback loop ([`SystemMonitor`]).
+    /// The paper's multiplicative SAT feedback loop (Tables I/II).
     #[default]
     Sat,
-    /// LMS prediction-driven rate adaptation
-    /// ([`crate::lms::LmsGovernor`], Srinivasan & Gangadharan's LMS-AR).
+    /// LMS prediction-driven rate adaptation ([`crate::lms`],
+    /// Srinivasan & Gangadharan's LMS-AR).
     LmsAr,
 }
 
@@ -233,29 +204,73 @@ impl GovernorKind {
         }
     }
 
-    /// Builds a fresh governor of this kind from `cfg`.
+    /// Builds a fresh governor running this kind's law, in its initial
+    /// state.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` fails [`MonitorConfig::validate`]; configurations
     /// are produced by code, not end users, so a bad one is a bug.
-    pub fn build(self, cfg: MonitorConfig) -> Box<dyn Governor> {
-        match self {
-            GovernorKind::Sat => Box::new(SystemMonitor::new(cfg)),
-            GovernorKind::LmsAr => Box::new(crate::lms::LmsGovernor::new(cfg)),
+    pub fn build(self, cfg: MonitorConfig) -> Governor {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid MonitorConfig: {e}");
+        }
+        let law = match self {
+            GovernorKind::Sat => Law::Sat,
+            GovernorKind::LmsAr => Law::LmsAr(Lms::new()),
+        };
+        Governor {
+            cfg,
+            m: cfg.m_init,
+            dm: law.resting_dm(&cfg),
+            e: 0,
+            rate_dir: RateDir::Up,
+            delta_dir: DeltaDir::Down,
+            epochs: 0,
+            stale_epochs: 0,
+            degraded_epochs: 0,
+            law,
         }
     }
 }
 
-/// The distributed governor's shared state machine.
+/// The fresh-sample step a [`Governor`] delegates to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Law {
+    /// The Tables I/II step ladder over `δM`.
+    Sat,
+    /// The LMS-AR predictor and its proportional step.
+    LmsAr(Lms),
+}
+
+impl Law {
+    /// The `δM` the governor starts with and returns to when it degrades:
+    /// the ladder's smallest step, or no step at all for LMS-AR.
+    fn resting_dm(&self, cfg: &MonitorConfig) -> u32 {
+        match self {
+            Law::Sat => cfg.dm_min,
+            Law::LmsAr(_) => 0,
+        }
+    }
+}
+
+/// The distributed governor's shared state machine: it turns one
+/// congestion observation per epoch into the multiplier `M`.
+///
+/// It owns the epoch count, the staleness fail-safe and the snapshot; the
+/// [`GovernorKind`] it was built with picks only the law applied to a
+/// fresh sample, so every kind handles lost feedback identically.
 ///
 /// All governors in a system produce identical `M` sequences from identical
 /// inputs (the paper relies on this to avoid inter-governor communication);
-/// the `lockstep_replicas_agree` unit test verifies it.
+/// the `lockstep_replicas_agree` unit tests verify it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SystemMonitor {
+pub struct Governor {
     cfg: MonitorConfig,
+    law: Law,
     m: u32,
+    /// `δM`: the ladder's next step (SAT) or the step applied in the last
+    /// epoch (LMS-AR).
     dm: u32,
     /// Consecutive epochs with an unchanged rate direction (the paper's E).
     e: u32,
@@ -268,47 +283,27 @@ pub struct SystemMonitor {
     degraded_epochs: u64,
 }
 
-impl SystemMonitor {
-    /// Creates a monitor in its initial state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`MonitorConfig::validate`]; configurations are
-    /// produced by code, not end users, so a bad one is a bug.
-    pub fn new(cfg: MonitorConfig) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid MonitorConfig: {e}");
-        }
-        Self {
-            cfg,
-            m: cfg.m_init,
-            dm: cfg.dm_min,
-            e: 0,
-            rate_dir: RateDir::Up,
-            delta_dir: DeltaDir::Down,
-            epochs: 0,
-            stale_epochs: 0,
-            degraded_epochs: 0,
-        }
-    }
-
+impl Governor {
     /// Advances one epoch given the saturation signal observed during the
     /// epoch that just ended, returning the new multiplier `M`.
     ///
-    /// `Some(sat)` is a fresh broadcast and drives the paper's
-    /// multiplicative feedback loop. `None` means the SAT broadcast was
-    /// lost this epoch: for up to `staleness_k` consecutive stale epochs
-    /// the monitor **holds its last rate** (`M`, `δM`, and `E` are
-    /// untouched); beyond the window it enters the *degraded policy* and
-    /// decays the goal rate toward a conservative floor — `M` grows
-    /// multiplicatively (`M += M/4 + 1` per epoch) up to
-    /// `degraded_m`, and the step state resets so the loop re-converges
-    /// gently once the signal returns. Returns the multiplier in force.
+    /// `Some(sat)` is a fresh broadcast and drives the kind's law. `None`
+    /// means the SAT broadcast was lost this epoch: for up to
+    /// `staleness_k` consecutive stale epochs the governor **holds its
+    /// last rate** (`M`, `δM`, and `E` are untouched); beyond the window
+    /// it enters the *degraded policy* and decays the goal rate toward a
+    /// conservative floor — `M` grows multiplicatively (`M += M/4 + 1`
+    /// per epoch) up to `degraded_m`, and the step state resets so the
+    /// loop re-converges gently once the signal returns. Returns the
+    /// multiplier in force.
     pub fn on_epoch(&mut self, sat: Option<bool>) -> u32 {
+        self.epochs += 1;
         match sat {
-            Some(s) => self.on_fresh_sat(s),
+            Some(sat) => {
+                self.stale_epochs = 0;
+                self.on_fresh_sat(sat);
+            }
             None => {
-                self.epochs += 1;
                 self.stale_epochs = self.stale_epochs.saturating_add(1);
                 if self.stale_epochs > self.cfg.staleness_k {
                     // Degraded: no information means overcommit is the
@@ -318,62 +313,58 @@ impl SystemMonitor {
                         let step = (self.m / 4).saturating_add(1);
                         self.m = self.m.saturating_add(step).min(self.cfg.degraded_m);
                     }
-                    self.dm = self.cfg.dm_min;
+                    self.dm = self.law.resting_dm(&self.cfg);
                     self.e = 0;
                     self.delta_dir = DeltaDir::Down;
                 }
-                self.m
             }
-        }
-    }
-
-    /// The fresh-sample half of the feedback loop (Tables I/II).
-    fn on_fresh_sat(&mut self, sat: bool) -> u32 {
-        self.stale_epochs = 0;
-        self.epochs += 1;
-        let new_dir = if sat { RateDir::Down } else { RateDir::Up };
-
-        if new_dir == self.rate_dir {
-            self.e = self.e.saturating_add(1);
-            if self.e >= self.cfg.inertia {
-                // Steady signal past the inertia window: accelerate
-                // exponentially (shift left).
-                self.dm = (self.dm * 2).min(self.cfg.dm_max);
-                self.delta_dir = DeltaDir::Up;
-            } else {
-                // Still inside the inertia window after a recent flip:
-                // keep settling so the loop damps into the noise band
-                // around the operating point.
-                self.dm = (self.dm / 2).max(self.cfg.dm_min);
-                self.delta_dir = DeltaDir::Down;
-            }
-        } else {
-            // Direction flip: the loop is hovering near the operating
-            // point — settle quickly (shift right by two).
-            self.e = 1;
-            self.dm = (self.dm / 4).max(self.cfg.dm_min);
-            self.delta_dir = DeltaDir::Down;
-        }
-        self.rate_dir = new_dir;
-
-        // M moves opposite to the goal rate.
-        if sat {
-            self.m = self.m.saturating_add(self.dm).min(self.cfg.m_max);
-        } else {
-            self.m = self.m.saturating_sub(self.dm).max(self.cfg.m_min);
         }
         self.m
     }
 
-    /// Consecutive epochs without a fresh SAT sample.
-    pub fn stale_epochs(&self) -> u32 {
-        self.stale_epochs
-    }
-
-    /// True while the fail-safe degraded policy is active (the staleness
-    /// window has been exceeded).
-    pub fn is_degraded(&self) -> bool {
-        self.stale_epochs > self.cfg.staleness_k
+    /// The fresh-sample half of the loop: the law sets the goal-rate
+    /// direction, `δM` and `E`, then `M` moves by `δM` against the rate.
+    fn on_fresh_sat(&mut self, sat: bool) {
+        let dir = match &mut self.law {
+            Law::Sat => {
+                let dir = if sat { RateDir::Down } else { RateDir::Up };
+                if dir == self.rate_dir {
+                    self.e = self.e.saturating_add(1);
+                    if self.e >= self.cfg.inertia {
+                        // Steady signal past the inertia window: accelerate
+                        // exponentially (shift left).
+                        self.dm = (self.dm * 2).min(self.cfg.dm_max);
+                        self.delta_dir = DeltaDir::Up;
+                    } else {
+                        // Still inside the inertia window after a recent
+                        // flip: keep settling so the loop damps into the
+                        // noise band around the operating point.
+                        self.dm = (self.dm / 2).max(self.cfg.dm_min);
+                        self.delta_dir = DeltaDir::Down;
+                    }
+                } else {
+                    // Direction flip: the loop is hovering near the
+                    // operating point — settle quickly (shift right by two).
+                    self.e = 1;
+                    self.dm = (self.dm / 4).max(self.cfg.dm_min);
+                    self.delta_dir = DeltaDir::Down;
+                }
+                dir
+            }
+            Law::LmsAr(lms) => {
+                let (dir, step) = lms.observe(self.m, sat);
+                self.delta_dir = if step > self.dm { DeltaDir::Up } else { DeltaDir::Down };
+                self.dm = step;
+                self.e = if dir == self.rate_dir { self.e.saturating_add(1) } else { 1 };
+                dir
+            }
+        };
+        self.rate_dir = dir;
+        // M moves opposite to the goal rate.
+        self.m = match dir {
+            RateDir::Down => self.m.saturating_add(self.dm).min(self.cfg.m_max),
+            RateDir::Up => self.m.saturating_sub(self.dm).max(self.cfg.m_min),
+        };
     }
 
     /// Total epochs spent under the degraded policy.
@@ -381,37 +372,7 @@ impl SystemMonitor {
         self.degraded_epochs
     }
 
-    /// Current multiplier.
-    pub fn m(&self) -> u32 {
-        self.m
-    }
-
-    /// Current step magnitude δM.
-    pub fn delta_m(&self) -> u32 {
-        self.dm
-    }
-
-    /// Consecutive epochs without a rate-direction switch.
-    pub fn steady_epochs(&self) -> u32 {
-        self.e
-    }
-
-    /// Phase: current rate and δM directions (Table I's "Phase").
-    pub fn phase(&self) -> (RateDir, DeltaDir) {
-        (self.rate_dir, self.delta_dir)
-    }
-
-    /// Total epochs processed.
-    pub fn epochs(&self) -> u64 {
-        self.epochs
-    }
-
-    /// The configuration the monitor was built with.
-    pub fn config(&self) -> MonitorConfig {
-        self.cfg
-    }
-
-    /// A point-in-time view of the monitor's state machine for
+    /// A point-in-time view of the governor's state machine for
     /// observability (trace records, figure dumps). Pure.
     pub fn snapshot(&self) -> MonitorSnapshot {
         MonitorSnapshot {
@@ -422,35 +383,13 @@ impl SystemMonitor {
             delta_dir: self.delta_dir,
             epochs: self.epochs,
             stale_epochs: self.stale_epochs,
-            degraded: self.is_degraded(),
+            degraded: self.stale_epochs > self.cfg.staleness_k,
         }
     }
 }
 
-impl Governor for SystemMonitor {
-    fn on_epoch(&mut self, sat: Option<bool>) -> u32 {
-        SystemMonitor::on_epoch(self, sat)
-    }
-
-    fn m(&self) -> u32 {
-        SystemMonitor::m(self)
-    }
-
-    fn degraded_epochs(&self) -> u64 {
-        SystemMonitor::degraded_epochs(self)
-    }
-
-    fn snapshot(&self) -> MonitorSnapshot {
-        SystemMonitor::snapshot(self)
-    }
-
-    fn label(&self) -> &'static str {
-        GovernorKind::Sat.label()
-    }
-}
-
-/// A point-in-time view of one [`SystemMonitor`] (observability; see
-/// [`SystemMonitor::snapshot`]).
+/// A point-in-time view of one [`Governor`] (observability; see
+/// [`Governor::snapshot`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonitorSnapshot {
     /// Current multiplier `M`.
@@ -539,8 +478,8 @@ mod tests {
 
     #[test]
     fn m_rises_on_saturation_falls_on_headroom() {
-        let mut mon = SystemMonitor::new(cfg());
-        let m0 = mon.m();
+        let mut mon = GovernorKind::Sat.build(cfg());
+        let m0 = mon.snapshot().m;
         let m1 = mon.on_epoch(Some(true));
         assert!(m1 > m0, "SAT=1 must raise M (throttle)");
         let m2 = mon.on_epoch(Some(false));
@@ -549,100 +488,104 @@ mod tests {
 
     #[test]
     fn m_clamped_to_bounds() {
-        let mut mon = SystemMonitor::new(cfg());
+        let mut mon = GovernorKind::Sat.build(cfg());
         // Enough epochs to traverse [m_init, m_max] at dm_max per epoch.
         let climb = (2 * cfg().m_max / cfg().dm_max) as usize;
         for _ in 0..climb {
             mon.on_epoch(Some(true));
-            assert!(mon.m() <= cfg().m_max);
+            assert!(mon.snapshot().m <= cfg().m_max);
         }
-        assert_eq!(mon.m(), cfg().m_max);
+        assert_eq!(mon.snapshot().m, cfg().m_max);
         for _ in 0..climb {
             mon.on_epoch(Some(false));
-            assert!(mon.m() >= cfg().m_min);
+            assert!(mon.snapshot().m >= cfg().m_min);
         }
-        assert_eq!(mon.m(), cfg().m_min);
+        assert_eq!(mon.snapshot().m, cfg().m_min);
     }
 
     #[test]
     fn delta_shrinks_on_noise() {
-        let mut mon = SystemMonitor::new(cfg());
+        let mut mon = GovernorKind::Sat.build(cfg());
         // Grow δM with a long low-SAT run first.
         for _ in 0..20 {
             mon.on_epoch(Some(false));
         }
-        let grown = mon.delta_m();
+        let grown = mon.snapshot().delta_m;
         assert!(grown > cfg().dm_min);
         // Alternating signal must collapse δM to the minimum.
         for _ in 0..20 {
             mon.on_epoch(Some(true));
             mon.on_epoch(Some(false));
         }
-        assert_eq!(mon.delta_m(), cfg().dm_min);
+        assert_eq!(mon.snapshot().delta_m, cfg().dm_min);
     }
 
     #[test]
     fn delta_grows_only_after_inertia() {
-        let mut mon = SystemMonitor::new(cfg());
+        let mut mon = GovernorKind::Sat.build(cfg());
         mon.on_epoch(Some(true)); // reset low_run, δM at min
-        let base = mon.delta_m();
+        let base = mon.snapshot().delta_m;
         mon.on_epoch(Some(false));
-        assert_eq!(mon.delta_m(), base, "1 low epoch < inertia, δM must hold");
+        assert_eq!(mon.snapshot().delta_m, base, "1 low epoch < inertia, δM must hold");
         mon.on_epoch(Some(false));
-        assert_eq!(mon.delta_m(), base, "2 low epochs < inertia, δM must hold");
+        assert_eq!(mon.snapshot().delta_m, base, "2 low epochs < inertia, δM must hold");
         mon.on_epoch(Some(false));
-        assert!(mon.delta_m() > base, "3rd consecutive low epoch grows δM");
+        assert!(mon.snapshot().delta_m > base, "3rd consecutive low epoch grows δM");
     }
 
     #[test]
     fn delta_growth_is_exponential() {
-        let mut mon = SystemMonitor::new(cfg());
+        let mut mon = GovernorKind::Sat.build(cfg());
         for _ in 0..cfg().inertia {
             mon.on_epoch(Some(false));
         }
-        let d0 = mon.delta_m();
+        let d0 = mon.snapshot().delta_m;
         mon.on_epoch(Some(false));
-        assert_eq!(mon.delta_m(), (d0 * 2).min(cfg().dm_max));
+        assert_eq!(mon.snapshot().delta_m, (d0 * 2).min(cfg().dm_max));
     }
 
     #[test]
     fn delta_clamped_to_max() {
-        let mut mon = SystemMonitor::new(cfg());
+        let mut mon = GovernorKind::Sat.build(cfg());
         for _ in 0..1000 {
             mon.on_epoch(Some(false));
         }
-        assert_eq!(mon.delta_m(), cfg().dm_max);
+        assert_eq!(mon.snapshot().delta_m, cfg().dm_max);
     }
 
     #[test]
     fn steady_counter_resets_on_direction_flip() {
-        let mut mon = SystemMonitor::new(cfg());
+        let mut mon = GovernorKind::Sat.build(cfg());
         mon.on_epoch(Some(false));
         mon.on_epoch(Some(false));
-        let e_before = mon.steady_epochs();
+        let e_before = mon.snapshot().steady_epochs;
         assert!(e_before >= 2);
         mon.on_epoch(Some(true));
-        assert_eq!(mon.steady_epochs(), 1, "flip starts a new 1-epoch run");
+        assert_eq!(mon.snapshot().steady_epochs, 1, "flip starts a new 1-epoch run");
         mon.on_epoch(Some(true));
-        assert_eq!(mon.steady_epochs(), 2);
+        assert_eq!(mon.snapshot().steady_epochs, 2);
     }
 
     #[test]
     fn phase_reflects_directions() {
-        let mut mon = SystemMonitor::new(cfg());
+        let mut mon = GovernorKind::Sat.build(cfg());
+        let phase = |mon: &Governor| {
+            let s = mon.snapshot();
+            (s.rate_dir, s.delta_dir)
+        };
         mon.on_epoch(Some(true));
-        assert_eq!(mon.phase(), (RateDir::Down, DeltaDir::Down));
+        assert_eq!(phase(&mon), (RateDir::Down, DeltaDir::Down));
         for _ in 0..cfg().inertia {
             mon.on_epoch(Some(false));
         }
-        assert_eq!(mon.phase(), (RateDir::Up, DeltaDir::Up));
+        assert_eq!(phase(&mon), (RateDir::Up, DeltaDir::Up));
     }
 
     #[test]
     fn lockstep_replicas_agree() {
         // The distributed-correctness claim: N monitors fed the same inputs
         // produce identical M at every epoch.
-        let mut replicas: Vec<SystemMonitor> = (0..32).map(|_| SystemMonitor::new(cfg())).collect();
+        let mut replicas: Vec<Governor> = (0..32).map(|_| GovernorKind::Sat.build(cfg())).collect();
         let pattern = [true, false, false, true, false, false, false, true];
         for (i, &sat) in pattern.iter().cycle().take(500).enumerate() {
             let ms: Vec<u32> = replicas.iter_mut().map(|r| r.on_epoch(Some(sat))).collect();
@@ -654,7 +597,7 @@ mod tests {
     #[should_panic(expected = "invalid MonitorConfig")]
     fn invalid_config_panics() {
         let bad = MonitorConfig { m_min: 10, m_max: 5, ..MonitorConfig::default() };
-        let _ = SystemMonitor::new(bad);
+        let _ = GovernorKind::Sat.build(bad);
     }
 
     #[test]
@@ -676,58 +619,42 @@ mod tests {
     }
 
     #[test]
-    fn trait_object_path_matches_the_concrete_monitor_exactly() {
-        // Dispatch through `dyn Governor` (the way `soc::System` drives
-        // governors) must be bit-identical to concrete calls.
-        let mut a = SystemMonitor::new(cfg());
-        let mut b: Box<dyn Governor> = GovernorKind::Sat.build(cfg());
-        let pattern = [Some(true), Some(false), None, Some(true), Some(true), None];
-        for &sat in pattern.iter().cycle().take(300) {
-            assert_eq!(a.on_epoch(sat), b.on_epoch(sat));
-        }
-        assert_eq!(a.snapshot(), b.snapshot());
-        assert_eq!(Governor::m(&a), b.m());
-        assert_eq!(b.label(), "sat");
-        assert_eq!(a.degraded_epochs(), b.degraded_epochs());
-    }
-
-    #[test]
     fn staleness_holds_last_rate_within_the_window() {
-        let mut mon = SystemMonitor::new(cfg());
+        let mut mon = GovernorKind::Sat.build(cfg());
         for _ in 0..10 {
             mon.on_epoch(Some(true));
         }
-        let held_m = mon.m();
-        let held_dm = mon.delta_m();
+        let held_m = mon.snapshot().m;
+        let held_dm = mon.snapshot().delta_m;
         for k in 1..=cfg().staleness_k {
             assert_eq!(mon.on_epoch(None), held_m, "epoch {k}: hold");
-            assert_eq!(mon.delta_m(), held_dm);
-            assert!(!mon.is_degraded());
-            assert_eq!(mon.stale_epochs(), k);
+            assert_eq!(mon.snapshot().delta_m, held_dm);
+            assert!(!mon.snapshot().degraded);
+            assert_eq!(mon.snapshot().stale_epochs, k);
         }
     }
 
     #[test]
     fn staleness_beyond_k_decays_toward_the_conservative_floor() {
-        let mut mon = SystemMonitor::new(cfg());
-        let m0 = mon.m();
+        let mut mon = GovernorKind::Sat.build(cfg());
+        let m0 = mon.snapshot().m;
         for _ in 0..cfg().staleness_k {
             mon.on_epoch(None);
         }
-        assert_eq!(mon.m(), m0, "still holding at exactly K stale epochs");
-        let mut prev = mon.m();
+        assert_eq!(mon.snapshot().m, m0, "still holding at exactly K stale epochs");
+        let mut prev = mon.snapshot().m;
         for _ in 0..60 {
             let m = mon.on_epoch(None);
             assert!(m >= prev, "degraded decay is monotone toward the floor");
             assert!(m <= cfg().degraded_m);
             prev = m;
         }
-        assert!(mon.is_degraded());
-        assert_eq!(mon.m(), cfg().degraded_m, "decay converges to degraded_m");
+        assert!(mon.snapshot().degraded);
+        assert_eq!(mon.snapshot().m, cfg().degraded_m, "decay converges to degraded_m");
         assert!(mon.degraded_epochs() > 0);
         let snap = mon.snapshot();
         assert!(snap.degraded);
-        assert_eq!(snap.stale_epochs, mon.stale_epochs());
+        assert_eq!(snap.stale_epochs, cfg().staleness_k + 60);
     }
 
     #[test]
@@ -736,26 +663,26 @@ mod tests {
         // *increase* its rate on no information.
         let high =
             MonitorConfig { m_init: 1 << 20, degraded_m: 1 << 16, ..MonitorConfig::default() };
-        let mut mon = SystemMonitor::new(high);
+        let mut mon = GovernorKind::Sat.build(high);
         for _ in 0..high.staleness_k + 10 {
             mon.on_epoch(None);
         }
-        assert_eq!(mon.m(), 1 << 20, "degraded policy never lowers M");
+        assert_eq!(mon.snapshot().m, 1 << 20, "degraded policy never lowers M");
     }
 
     #[test]
     fn fresh_sample_ends_staleness_and_resumes_the_loop() {
-        let mut mon = SystemMonitor::new(cfg());
+        let mut mon = GovernorKind::Sat.build(cfg());
         for _ in 0..cfg().staleness_k + 5 {
             mon.on_epoch(None);
         }
-        assert!(mon.is_degraded());
-        let m_degraded = mon.m();
+        assert!(mon.snapshot().degraded);
+        let m_degraded = mon.snapshot().m;
         mon.on_epoch(Some(false));
-        assert_eq!(mon.stale_epochs(), 0);
-        assert!(!mon.is_degraded());
-        assert!(mon.m() < m_degraded, "headroom sample lowers M again");
-        assert_eq!(mon.delta_m(), cfg().dm_min, "loop re-converges gently");
+        assert_eq!(mon.snapshot().stale_epochs, 0);
+        assert!(!mon.snapshot().degraded);
+        assert!(mon.snapshot().m < m_degraded, "headroom sample lowers M again");
+        assert_eq!(mon.snapshot().delta_m, cfg().dm_min, "loop re-converges gently");
     }
 
     #[test]

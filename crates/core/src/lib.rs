@@ -4,14 +4,15 @@
 //! partitions memory bandwidth among QoS classes using two cooperating
 //! hardware components:
 //!
-//! * **Source regulation** — a [`governor::SystemMonitor`] feedback loop
+//! * **Source regulation** — a [`governor::Governor`] feedback loop
 //!   computes a system-wide multiplier `M` from a binary memory-controller
 //!   saturation signal each epoch; a [`governor::RateGenerator`] scales `M`
 //!   by a class's [`qos::Stride`] into a per-source request period; and a
 //!   [`pacer::Pacer`] at each private L2 enforces that period, with credit
 //!   for bursts and corrections for shared-cache hits and writebacks.
-//!   The governor seam is the object-safe [`governor::Governor`] trait;
-//!   [`lms::LmsGovernor`] is a prediction-driven alternative (LMS-AR).
+//!   [`governor::GovernorKind`] picks the law the governor applies to a
+//!   fresh sample: the paper's SAT ladder or the prediction-driven
+//!   [`lms`] alternative (LMS-AR).
 //! * **Target regulation** — a [`arbiter::VirtualClocks`] earliest-virtual-
 //!   deadline arbiter at each memory controller prioritizes queued reads of
 //!   classes that are behind their proportional share, with a bounded slack
@@ -29,13 +30,13 @@
 //! ```
 //! use pabst_core::qos::{QosId, ShareTable};
 //! use pabst_core::governor::{
-//!     SystemMonitor, MonitorConfig, RateGenerator, GOVERNOR_STRIDE_SCALE,
+//!     GovernorKind, MonitorConfig, RateGenerator, GOVERNOR_STRIDE_SCALE,
 //! };
 //! use pabst_core::pacer::Pacer;
 //!
 //! // Two classes with a 3:1 bandwidth split.
 //! let shares = ShareTable::from_weights(&[3, 1])?;
-//! let mut monitor = SystemMonitor::new(MonitorConfig::default());
+//! let mut monitor = GovernorKind::Sat.build(MonitorConfig::default());
 //! let rategen = RateGenerator::default();
 //!
 //! // One epoch elapses and the memory controllers were saturated:

@@ -6,7 +6,7 @@
 //! the exact case.
 
 use pabst_core::arbiter::{VirtualClocks, VirtualDeadline};
-use pabst_core::governor::{MonitorConfig, RateGenerator, SystemMonitor};
+use pabst_core::governor::{GovernorKind, MonitorConfig, RateGenerator};
 use pabst_core::pacer::Pacer;
 use pabst_core::qos::{QosId, ShareTable};
 use pabst_simkit::rng::SimRng;
@@ -18,14 +18,12 @@ fn monitor_m_always_bounded() {
         let mut rng = SimRng::seed_from_u64(seed);
         let epochs = 1 + rng.gen_range(0..500);
         let cfg = MonitorConfig::default();
-        let mut mon = SystemMonitor::new(cfg);
+        let mut mon = GovernorKind::Sat.build(cfg);
         for _ in 0..epochs {
             let m = mon.on_epoch(Some(rng.gen_bool(0.5)));
             assert!(m >= cfg.m_min && m <= cfg.m_max, "seed {seed}: M={m} escaped bounds");
-            assert!(
-                mon.delta_m() >= cfg.dm_min && mon.delta_m() <= cfg.dm_max,
-                "seed {seed}: delta_m escaped bounds"
-            );
+            let dm = mon.snapshot().delta_m;
+            assert!(dm >= cfg.dm_min && dm <= cfg.dm_max, "seed {seed}: delta_m escaped bounds");
         }
     }
 }
@@ -37,8 +35,8 @@ fn monitor_replicas_lockstep() {
         let mut rng = SimRng::seed_from_u64(seed ^ 0xA5A5);
         let epochs = 1 + rng.gen_range(0..300);
         let cfg = MonitorConfig::default();
-        let mut a = SystemMonitor::new(cfg);
-        let mut b = SystemMonitor::new(cfg);
+        let mut a = GovernorKind::Sat.build(cfg);
+        let mut b = GovernorKind::Sat.build(cfg);
         for _ in 0..epochs {
             let sat = Some(rng.gen_bool(0.5));
             assert_eq!(a.on_epoch(sat), b.on_epoch(sat), "seed {seed}: replicas diverged");
@@ -217,8 +215,8 @@ fn arbiter_service_proportional() {
             let mut pending = [vc.stamp(ids[0]), vc.stamp(ids[1])];
             let mut served = [0u64; 2];
             for _ in 0..20_000 {
-                let idx = VirtualClocks::pick_earliest(pending.iter().copied())
-                    .expect("two pending deadlines");
+                // Earliest deadline first, the lower index on a tie.
+                let idx = usize::from(pending[1] < pending[0]);
                 vc.on_picked(pending[idx]);
                 served[idx] += 1;
                 pending[idx] = vc.stamp(ids[idx]);

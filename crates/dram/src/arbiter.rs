@@ -1,40 +1,37 @@
-//! The target-side arbiter seam: an object-safe trait over everything a
-//! [`crate::MemController`] asks of its scheduling policy, plus the zoo
-//! of implementations behind it.
+//! The target arbiter: the priority policy of a [`crate::MemController`],
+//! one concrete type over the five mechanisms of the zoo.
 //!
 //! The controller owns queue structure, bank timing, and the data-bus
 //! pipeline; the arbiter owns *priority*: it stamps every accepted
-//! request with a [`VirtualDeadline`], declares whether those stamps
-//! participate in priority keys ([`TargetArbiter::uses_deadlines`]), and
-//! observes every bus grant so it can advance whatever internal credit
-//! it keeps. `next_event` folds any arbiter-internal timed state into
-//! the controller's horizon so the cycle-skipping contract
-//! (`docs/PERFORMANCE.md`) holds for every implementation — an arbiter
-//! whose priorities can change at a future cycle without a stamp or a
-//! pick must report that cycle.
+//! request with a [`VirtualDeadline`] and observes every read's bus grant
+//! so it can advance whatever internal credit it keeps. Whether those
+//! stamps enter the controller's priority keys, and the mechanism's
+//! label, are read from the [`ArbiterMode`] the controller was built
+//! with. Every variant moves its priority state only inside
+//! [`TargetArbiter::stamp`] and [`TargetArbiter::on_picked`], never with
+//! time alone, so the arbiter adds nothing to the controller's event
+//! horizon (`docs/PERFORMANCE.md`).
 //!
-//! Implementations:
+//! Variants:
 //!
-//! * [`EdfArbiter`] — the paper's earliest-virtual-deadline arbiter with
-//!   a flat one-stride charge per access (§III-C2).
-//! * [`FqmArbiter`] — Nesbit et al.'s fair queueing memory scheduler:
-//!   deadlines approximate virtual time, charged by actual service cost.
-//! * [`FcfsArbiter`] — priority-blind FR-FCFS baseline.
-//! * [`PerBankArbiter`] — Sullivan et al. style bank-granularity
+//! * [`TargetArbiter::Edf`] — the paper's earliest-virtual-deadline
+//!   arbiter with a flat one-stride charge per access (§III-C2).
+//! * [`TargetArbiter::Fqm`] — Nesbit et al.'s fair queueing memory
+//!   scheduler: deadlines approximate virtual time, charged by actual
+//!   service cost.
+//! * [`TargetArbiter::Fcfs`] — priority-blind FR-FCFS baseline.
+//! * [`TargetArbiter::PerBank`] — Sullivan et al. style bank-granularity
 //!   regulation: one set of virtual clocks *per DRAM bank*.
-//! * [`DpqArbiter`] — Shah et al.'s distance-based priority queue with a
-//!   checkable worst-case service bound (debug-asserted).
+//! * [`TargetArbiter::Dpq`] — Shah et al.'s distance-based priority queue
+//!   with a checkable worst-case service bound.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use pabst_core::arbiter::{VirtualClocks, VirtualDeadline};
 use pabst_core::qos::{QosId, ShareTable, MAX_CLASSES};
-use pabst_simkit::Cycle;
 
-/// The scheduling policy of a memory controller, behind an object-safe
-/// seam so competing mechanisms can be swapped without touching the
-/// controller's queue or timing model.
+/// The scheduling policy of a memory controller, built by
+/// [`ArbiterMode::build`].
 ///
 /// Contract highlights:
 ///
@@ -42,359 +39,112 @@ use pabst_simkit::Cycle;
 ///   order (`seq` is strictly increasing across calls).
 /// * `on_picked` is called once per *read* data-bus grant; writes drain
 ///   unprioritized and are never reported.
-/// * `clock` must be monotonically nondecreasing per class (`System`'s
+/// * `clock` is monotonically nondecreasing per class (`System`'s
 ///   epoch-boundary checks verify this through
 ///   [`crate::MemController::virtual_clock`]).
-/// * `next_event` follows the horizon contract: conservative answers are
-///   fine, late ones are not. Arbiters whose priority state only changes
-///   inside `stamp`/`on_picked` return `None`.
-pub trait TargetArbiter: fmt::Debug {
+#[derive(Debug, Clone)]
+pub enum TargetArbiter {
+    /// Priority-blind baseline: every stamp is the acceptance sequence
+    /// number and deadlines never enter priority keys, so the controller
+    /// degenerates to plain FR-FCFS.
+    Fcfs,
+    /// The paper's arbiter: per-class virtual clocks, earliest deadline
+    /// first, flat one-stride charge per read (§III-C2).
+    Edf(VirtualClocks),
+    /// FQM-style variant (Nesbit et al.): deadlines approximate virtual
+    /// time (stamps do not advance the clock) and accesses are charged by
+    /// their actual service cost after the fact.
+    Fqm(VirtualClocks),
+    /// Bank-granularity bandwidth regulation (Sullivan et al. style): one
+    /// independent set of virtual clocks per DRAM bank, so a class's
+    /// credit on a quiet bank is not consumed by its traffic on a hot one.
+    /// Stamps from different banks still compete in the controller's
+    /// global nomination, which is precisely the mechanism difference the
+    /// zoo compares: regulation error localizes per bank instead of
+    /// averaging across the channel.
+    PerBank(Vec<VirtualClocks>),
+    /// Shah et al.'s distance-based priority queue (see [`Dpq`]).
+    Dpq(Dpq),
+}
+
+impl TargetArbiter {
     /// Stamps a newly accepted request with its priority deadline.
     ///
     /// `seq` is the controller's acceptance sequence number, `bank` the
     /// decoded target bank, and `backlog` the depth of the front-end
     /// queue the request joins (before insertion).
-    fn stamp(
+    pub fn stamp(
         &mut self,
         class: QosId,
         is_write: bool,
         seq: u64,
         bank: u32,
         backlog: usize,
-    ) -> VirtualDeadline;
-
-    /// True when the stamps carry class priority, i.e. the controller
-    /// should order by `(deadline, seq)` rather than arrival order
-    /// alone. Capability query replacing the old
-    /// `ArbiterMode::prioritized()` boolean probing.
-    fn uses_deadlines(&self) -> bool;
+    ) -> VirtualDeadline {
+        // Writes are not prioritized (§III-C2).
+        if is_write {
+            return VirtualDeadline(seq);
+        }
+        match self {
+            TargetArbiter::Fcfs => VirtualDeadline(seq),
+            TargetArbiter::Edf(clocks) => clocks.stamp(class),
+            TargetArbiter::Fqm(clocks) => clocks.stamp_deferred(class),
+            TargetArbiter::PerBank(banks) => {
+                let b = bank as usize % banks.len();
+                banks[b].stamp(class)
+            }
+            TargetArbiter::Dpq(dpq) => dpq.stamp(class, seq, backlog),
+        }
+    }
 
     /// Records that a read's data burst won the bus. `cost` is the
     /// access's service cost in row-op units (1 row hit, 2 closed row,
-    /// 3 conflict) for cost-charging arbiters.
-    fn on_picked(
+    /// 3 conflict), which FQM charges.
+    pub fn on_picked(
         &mut self,
         class: QosId,
         deadline: VirtualDeadline,
         seq: u64,
         bank: u32,
         cost: u64,
-    );
-
-    /// Reprograms the per-class shares (software updating weights).
-    fn set_shares(&mut self, shares: &ShareTable);
+    ) {
+        match self {
+            TargetArbiter::Fcfs => {}
+            TargetArbiter::Edf(clocks) => clocks.on_picked(deadline),
+            TargetArbiter::Fqm(clocks) => {
+                clocks.on_picked(deadline);
+                clocks.charge(class, cost);
+            }
+            TargetArbiter::PerBank(banks) => {
+                let b = bank as usize % banks.len();
+                banks[b].on_picked(deadline);
+            }
+            TargetArbiter::Dpq(dpq) => dpq.on_picked(seq),
+        }
+    }
 
     /// Current virtual-clock value of `id` — whatever monotone per-class
-    /// progress notion the mechanism keeps, surfaced in
+    /// progress notion the mechanism keeps (0 for FCFS), surfaced in
     /// [`crate::controller::McSnapshot::virtual_clocks`].
-    fn clock(&self, id: QosId) -> u64;
-
-    /// Number of QoS classes the arbiter was built for.
-    fn classes(&self) -> usize;
-
-    /// Earliest future cycle at which the arbiter's *own* state could
-    /// change priorities absent a stamp or pick, or `None` when its
-    /// state only moves inside those callbacks. Min-combined into
-    /// [`crate::MemController::next_event`].
-    fn next_event(&self, now: Cycle) -> Option<Cycle>;
-
-    /// Stable mechanism label (provenance hashing, reports).
-    fn name(&self) -> &'static str;
-
-    /// Promotes the arbiter's debug-only bound assertions to counted
-    /// release-mode checks (see [`DpqArbiter`]'s worst-case service
-    /// bound). Arbiters without internal bound promises ignore it.
-    fn set_bound_checks(&mut self, _on: bool) {}
-
-    /// Cumulative internal bound violations observed (always 0 unless
-    /// the arbiter keeps promises and checking was enabled). Growth is
-    /// surfaced as a `dpq service bound` invariant violation by the
-    /// epoch checker.
-    fn bound_violations(&self) -> u64 {
-        0
-    }
-}
-
-/// The paper's arbiter: per-class virtual clocks, earliest deadline
-/// first, flat one-stride charge per read (§III-C2).
-#[derive(Debug, Clone)]
-pub struct EdfArbiter {
-    clocks: VirtualClocks,
-}
-
-impl EdfArbiter {
-    /// Creates the arbiter with the given shares and slack bound.
-    pub fn new(shares: &ShareTable, slack: u64) -> Self {
-        Self { clocks: VirtualClocks::new(shares, slack) }
-    }
-}
-
-impl TargetArbiter for EdfArbiter {
-    fn stamp(
-        &mut self,
-        class: QosId,
-        is_write: bool,
-        seq: u64,
-        _bank: u32,
-        _backlog: usize,
-    ) -> VirtualDeadline {
-        // Reads are stamped with the class's virtual deadline on
-        // acceptance; writes are not prioritized (§III-C2).
-        if is_write {
-            VirtualDeadline(seq)
-        } else {
-            self.clocks.stamp(class)
+    pub fn clock(&self, id: QosId) -> u64 {
+        match self {
+            TargetArbiter::Fcfs => 0,
+            TargetArbiter::Edf(clocks) | TargetArbiter::Fqm(clocks) => clocks.clock(id),
+            // The class's furthest per-bank progress: a max of monotone
+            // clocks, so the invariant checker's monotonicity law holds.
+            TargetArbiter::PerBank(banks) => banks.iter().map(|c| c.clock(id)).max().unwrap_or(0),
+            TargetArbiter::Dpq(dpq) => dpq.last_stamp[id.index()],
         }
     }
 
-    fn uses_deadlines(&self) -> bool {
-        true
-    }
-
-    fn on_picked(
-        &mut self,
-        _class: QosId,
-        deadline: VirtualDeadline,
-        _seq: u64,
-        _bank: u32,
-        _cost: u64,
-    ) {
-        self.clocks.on_picked(deadline);
-    }
-
-    fn set_shares(&mut self, shares: &ShareTable) {
-        for (id, s) in shares.iter() {
-            self.clocks.set_stride(id, s);
+    /// Cumulative worst-case service promises missed (DPQ with checking
+    /// on; 0 otherwise). Growth is surfaced as a `dpq service bound`
+    /// invariant violation by the epoch checker.
+    pub fn bound_violations(&self) -> u64 {
+        match self {
+            TargetArbiter::Dpq(dpq) => dpq.violations,
+            _ => 0,
         }
-    }
-
-    fn clock(&self, id: QosId) -> u64 {
-        self.clocks.clock(id)
-    }
-
-    fn classes(&self) -> usize {
-        self.clocks.classes()
-    }
-
-    fn next_event(&self, _now: Cycle) -> Option<Cycle> {
-        None
-    }
-
-    fn name(&self) -> &'static str {
-        ArbiterMode::Edf.label()
-    }
-}
-
-/// FQM-style variant (Nesbit et al.): deadlines approximate virtual
-/// time (stamps do not advance the clock) and accesses are charged by
-/// their actual service cost after the fact.
-#[derive(Debug, Clone)]
-pub struct FqmArbiter {
-    clocks: VirtualClocks,
-}
-
-impl FqmArbiter {
-    /// Creates the arbiter with the given shares and slack bound.
-    pub fn new(shares: &ShareTable, slack: u64) -> Self {
-        Self { clocks: VirtualClocks::new(shares, slack) }
-    }
-}
-
-impl TargetArbiter for FqmArbiter {
-    fn stamp(
-        &mut self,
-        class: QosId,
-        is_write: bool,
-        seq: u64,
-        _bank: u32,
-        _backlog: usize,
-    ) -> VirtualDeadline {
-        if is_write {
-            VirtualDeadline(seq)
-        } else {
-            self.clocks.stamp_deferred(class)
-        }
-    }
-
-    fn uses_deadlines(&self) -> bool {
-        true
-    }
-
-    fn on_picked(
-        &mut self,
-        class: QosId,
-        deadline: VirtualDeadline,
-        _seq: u64,
-        _bank: u32,
-        cost: u64,
-    ) {
-        self.clocks.on_picked(deadline);
-        // Charge by service cost: a row hit is one unit, a closed row
-        // two, a conflict (precharge + activate) three.
-        self.clocks.charge(class, cost);
-    }
-
-    fn set_shares(&mut self, shares: &ShareTable) {
-        for (id, s) in shares.iter() {
-            self.clocks.set_stride(id, s);
-        }
-    }
-
-    fn clock(&self, id: QosId) -> u64 {
-        self.clocks.clock(id)
-    }
-
-    fn classes(&self) -> usize {
-        self.clocks.classes()
-    }
-
-    fn next_event(&self, _now: Cycle) -> Option<Cycle> {
-        None
-    }
-
-    fn name(&self) -> &'static str {
-        ArbiterMode::Fqm.label()
-    }
-}
-
-/// Priority-blind baseline: every stamp is the acceptance sequence
-/// number and deadlines never enter priority keys, so the controller
-/// degenerates to plain FR-FCFS.
-#[derive(Debug, Clone)]
-pub struct FcfsArbiter {
-    classes: usize,
-}
-
-impl FcfsArbiter {
-    /// Creates the arbiter (only the class count is retained, for
-    /// snapshot shape).
-    pub fn new(shares: &ShareTable) -> Self {
-        Self { classes: shares.classes() }
-    }
-}
-
-impl TargetArbiter for FcfsArbiter {
-    fn stamp(
-        &mut self,
-        _class: QosId,
-        _is_write: bool,
-        seq: u64,
-        _bank: u32,
-        _backlog: usize,
-    ) -> VirtualDeadline {
-        VirtualDeadline(seq)
-    }
-
-    fn uses_deadlines(&self) -> bool {
-        false
-    }
-
-    fn on_picked(
-        &mut self,
-        _class: QosId,
-        _deadline: VirtualDeadline,
-        _seq: u64,
-        _bank: u32,
-        _cost: u64,
-    ) {
-    }
-
-    fn set_shares(&mut self, _shares: &ShareTable) {}
-
-    fn clock(&self, _id: QosId) -> u64 {
-        0
-    }
-
-    fn classes(&self) -> usize {
-        self.classes
-    }
-
-    fn next_event(&self, _now: Cycle) -> Option<Cycle> {
-        None
-    }
-
-    fn name(&self) -> &'static str {
-        ArbiterMode::Fcfs.label()
-    }
-}
-
-/// Bank-granularity bandwidth regulation (Sullivan et al. style): one
-/// independent set of virtual clocks per DRAM bank, so a class's credit
-/// on a quiet bank is not consumed by its traffic on a hot one. Stamps
-/// from different banks still compete in the controller's global
-/// nomination, which is precisely the mechanism difference the zoo
-/// compares: regulation error localizes per bank instead of averaging
-/// across the channel.
-#[derive(Debug, Clone)]
-pub struct PerBankArbiter {
-    banks: Vec<VirtualClocks>,
-}
-
-impl PerBankArbiter {
-    /// Creates one clock set per bank, each with the full share table
-    /// and the same slack bound.
-    pub fn new(shares: &ShareTable, slack: u64, banks: usize) -> Self {
-        Self { banks: (0..banks.max(1)).map(|_| VirtualClocks::new(shares, slack)).collect() }
-    }
-}
-
-impl TargetArbiter for PerBankArbiter {
-    fn stamp(
-        &mut self,
-        class: QosId,
-        is_write: bool,
-        seq: u64,
-        bank: u32,
-        _backlog: usize,
-    ) -> VirtualDeadline {
-        if is_write {
-            VirtualDeadline(seq)
-        } else {
-            let b = bank as usize % self.banks.len();
-            self.banks[b].stamp(class)
-        }
-    }
-
-    fn uses_deadlines(&self) -> bool {
-        true
-    }
-
-    fn on_picked(
-        &mut self,
-        _class: QosId,
-        deadline: VirtualDeadline,
-        _seq: u64,
-        bank: u32,
-        _cost: u64,
-    ) {
-        let b = bank as usize % self.banks.len();
-        self.banks[b].on_picked(deadline);
-    }
-
-    fn set_shares(&mut self, shares: &ShareTable) {
-        for clocks in &mut self.banks {
-            for (id, s) in shares.iter() {
-                clocks.set_stride(id, s);
-            }
-        }
-    }
-
-    fn clock(&self, id: QosId) -> u64 {
-        // The class's furthest per-bank progress: a max of monotone
-        // clocks, so the invariant checker's monotonicity law holds.
-        self.banks.iter().map(|c| c.clock(id)).max().unwrap_or(0)
-    }
-
-    fn classes(&self) -> usize {
-        self.banks[0].classes()
-    }
-
-    fn next_event(&self, _now: Cycle) -> Option<Cycle> {
-        None
-    }
-
-    fn name(&self) -> &'static str {
-        ArbiterMode::PerBank.label()
     }
 }
 
@@ -411,69 +161,64 @@ pub const DPQ_WINDOW: u64 = 16;
 /// bound must never trip on a legal schedule.
 const DPQ_REORDER_FACTOR: u64 = 64;
 
-/// Shah et al.'s distance-based priority queue (DPQ), modelled in
-/// virtual positions: a request from class `c` is inserted `distance_c`
-/// service slots ahead of the arrival frontier, where the distance is
-/// inversely proportional to the class's bandwidth share. Concretely
-/// the stamp is `seq + d_rel[c]` and the controller's EDF key serves
-/// ascending stamps, which reproduces DPQ's headline property — a
+/// The state of Shah et al.'s distance-based priority queue (DPQ),
+/// modelled in virtual positions: a request from class `c` is inserted
+/// `distance_c` service slots ahead of the arrival frontier, where the
+/// distance is inversely proportional to the class's bandwidth share.
+/// Concretely the stamp is `seq + d_rel[c]` and the controller's EDF key
+/// serves ascending stamps, which reproduces DPQ's headline property — a
 /// *checkable worst-case service bound* per class — without modelling
 /// the hardware queue itself.
 ///
-/// In debug builds every read stamp records a service promise
-/// (`backlog + relative-deadline gap`, inflated by
-/// `DPQ_REORDER_FACTOR` for the controller's bounded non-priority
-/// reordering) and every pick asserts the promise held.
+/// In debug builds, and in release when
+/// [`crate::MemController::set_bound_checks`] turns checking on, every
+/// read stamp records a service promise (`backlog + relative-deadline
+/// gap`, inflated by `DPQ_REORDER_FACTOR` for the controller's bounded
+/// non-priority reordering) and every pick counts a promise that did not
+/// hold.
 #[derive(Debug, Clone)]
-pub struct DpqArbiter {
+pub struct Dpq {
     /// Per-class relative deadline (insertion distance) in service
     /// slots; smaller for higher-weight classes.
     d_rel: [u64; MAX_CLASSES],
     /// The smallest distance of any class (the overtaking bound).
     d_min: u64,
-    classes: usize,
     /// Last stamp issued per class (monotone progress for `clock`).
     last_stamp: [u64; MAX_CLASSES],
     /// Total read grants observed.
     served: u64,
     /// Outstanding service promises: seq → served-counter bound.
-    /// Debug-only accounting unless promoted by `set_bound_checks`, but
-    /// kept unconditionally so skip/noskip replicas and both build
-    /// profiles share identical struct shape.
+    /// Debug-only accounting unless checking is on, but kept
+    /// unconditionally so skip/noskip replicas and both build profiles
+    /// share identical struct shape.
     promises: BTreeMap<u64, u64>,
-    /// Release-mode promotion of the bound assertion: when set, promises
-    /// are kept (and checked) even without `debug_assertions`.
-    check: bool,
+    /// Release-mode promotion of the bound check: when set, promises are
+    /// kept (and checked) even without `debug_assertions`.
+    pub(crate) check: bool,
     /// Promises missed — reads served later than their worst-case bound.
     violations: u64,
 }
 
-impl DpqArbiter {
-    /// Creates the arbiter, deriving per-class distances from `shares`.
-    pub fn new(shares: &ShareTable) -> Self {
-        let mut a = Self {
-            d_rel: [DPQ_WINDOW; MAX_CLASSES],
-            d_min: DPQ_WINDOW,
-            classes: shares.classes(),
+impl Dpq {
+    /// Derives the per-class distances from `shares`.
+    fn new(shares: &ShareTable) -> Self {
+        let mut d_rel = [DPQ_WINDOW; MAX_CLASSES];
+        for (id, _) in shares.iter() {
+            // scaled_stride(id, W) = round(W * max_weight / weight): the
+            // highest-weight class gets distance ~W, lower weights
+            // proportionally farther.
+            d_rel[id.index()] = shares.scaled_stride(id, DPQ_WINDOW).get();
+        }
+        let d_min = d_rel[..shares.classes()].iter().copied().min().unwrap_or(DPQ_WINDOW).max(1);
+        Self {
+            d_rel,
+            d_min,
             last_stamp: [0; MAX_CLASSES],
             served: 0,
             promises: BTreeMap::new(),
             check: false,
             violations: 0,
-        };
-        a.program(shares);
-        a
-    }
-
-    fn program(&mut self, shares: &ShareTable) {
-        self.classes = shares.classes();
-        for (id, _) in shares.iter() {
-            // scaled_stride(id, W) = round(W * max_weight / weight): the
-            // highest-weight class gets distance ~W, lower weights
-            // proportionally farther.
-            self.d_rel[id.index()] = shares.scaled_stride(id, DPQ_WINDOW).get();
         }
-        self.d_min = (0..self.classes).map(|i| self.d_rel[i]).min().unwrap_or(DPQ_WINDOW).max(1);
     }
 
     /// The worst-case number of read grants a read stamped against
@@ -485,20 +230,8 @@ impl DpqArbiter {
         let gap = self.d_rel[id.index()].saturating_sub(self.d_min);
         (backlog as u64 + gap + 1).saturating_mul(DPQ_REORDER_FACTOR)
     }
-}
 
-impl TargetArbiter for DpqArbiter {
-    fn stamp(
-        &mut self,
-        class: QosId,
-        is_write: bool,
-        seq: u64,
-        _bank: u32,
-        backlog: usize,
-    ) -> VirtualDeadline {
-        if is_write {
-            return VirtualDeadline(seq);
-        }
+    fn stamp(&mut self, class: QosId, seq: u64, backlog: usize) -> VirtualDeadline {
         let d = seq.saturating_add(self.d_rel[class.index()]);
         self.last_stamp[class.index()] = d;
         if cfg!(debug_assertions) || self.check {
@@ -508,18 +241,7 @@ impl TargetArbiter for DpqArbiter {
         VirtualDeadline(d)
     }
 
-    fn uses_deadlines(&self) -> bool {
-        true
-    }
-
-    fn on_picked(
-        &mut self,
-        _class: QosId,
-        _deadline: VirtualDeadline,
-        seq: u64,
-        _bank: u32,
-        _cost: u64,
-    ) {
+    fn on_picked(&mut self, seq: u64) {
         if let Some(promise) = self.promises.remove(&seq) {
             // Promoted from a debug_assert: a missed promise is counted
             // and reported through the epoch invariant checker, so
@@ -531,56 +253,30 @@ impl TargetArbiter for DpqArbiter {
         }
         self.served += 1;
     }
-
-    fn set_shares(&mut self, shares: &ShareTable) {
-        self.program(shares);
-    }
-
-    fn clock(&self, id: QosId) -> u64 {
-        self.last_stamp[id.index()]
-    }
-
-    fn classes(&self) -> usize {
-        self.classes
-    }
-
-    fn next_event(&self, _now: Cycle) -> Option<Cycle> {
-        None
-    }
-
-    fn name(&self) -> &'static str {
-        ArbiterMode::Dpq.label()
-    }
-
-    fn set_bound_checks(&mut self, on: bool) {
-        self.check = on;
-    }
-
-    fn bound_violations(&self) -> u64 {
-        self.violations
-    }
 }
 
 /// Scheduling policy selector for a [`crate::MemController`]:
-/// serializable configuration surface over the [`TargetArbiter`] zoo.
+/// serializable configuration surface over the [`TargetArbiter`]
+/// variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ArbiterMode {
     /// Baseline FR-FCFS: oldest first at the front-end; row hits then
-    /// oldest at the back-end ([`FcfsArbiter`]).
+    /// oldest at the back-end ([`TargetArbiter::Fcfs`]).
     Fcfs,
     /// PABST priority arbiter: earliest virtual deadline, flat
-    /// one-stride charge per access ([`EdfArbiter`], the paper's
+    /// one-stride charge per access ([`TargetArbiter::Edf`], the paper's
     /// choice, §III-C2).
     #[default]
     Edf,
     /// FQM-style variant: charged by actual service cost
-    /// ([`FqmArbiter`]). Included for the paper's design comparison.
+    /// ([`TargetArbiter::Fqm`]). Included for the paper's design
+    /// comparison.
     Fqm,
     /// Bank-granularity regulation, Sullivan et al. style
-    /// ([`PerBankArbiter`]).
+    /// ([`TargetArbiter::PerBank`]).
     PerBank,
     /// Shah et al.'s distance-based priority queue with a debug-checked
-    /// worst-case service bound ([`DpqArbiter`]).
+    /// worst-case service bound ([`TargetArbiter::Dpq`]).
     Dpq,
 }
 
@@ -607,15 +303,17 @@ impl ArbiterMode {
     ];
 
     /// Builds the arbiter this mode names. `banks` sizes
-    /// [`PerBankArbiter`]; `slack` bounds the virtual-clock credit of
-    /// the clock-based arbiters.
-    pub fn build(self, shares: &ShareTable, slack: u64, banks: usize) -> Box<dyn TargetArbiter> {
+    /// [`TargetArbiter::PerBank`]; `slack` bounds the virtual-clock
+    /// credit of the clock-based arbiters.
+    pub fn build(self, shares: &ShareTable, slack: u64, banks: usize) -> TargetArbiter {
         match self {
-            ArbiterMode::Fcfs => Box::new(FcfsArbiter::new(shares)),
-            ArbiterMode::Edf => Box::new(EdfArbiter::new(shares, slack)),
-            ArbiterMode::Fqm => Box::new(FqmArbiter::new(shares, slack)),
-            ArbiterMode::PerBank => Box::new(PerBankArbiter::new(shares, slack, banks)),
-            ArbiterMode::Dpq => Box::new(DpqArbiter::new(shares)),
+            ArbiterMode::Fcfs => TargetArbiter::Fcfs,
+            ArbiterMode::Edf => TargetArbiter::Edf(VirtualClocks::new(shares, slack)),
+            ArbiterMode::Fqm => TargetArbiter::Fqm(VirtualClocks::new(shares, slack)),
+            ArbiterMode::PerBank => TargetArbiter::PerBank(
+                (0..banks.max(1)).map(|_| VirtualClocks::new(shares, slack)).collect(),
+            ),
+            ArbiterMode::Dpq => TargetArbiter::Dpq(Dpq::new(shares)),
         }
     }
 }
@@ -632,7 +330,7 @@ mod tests {
     fn edf_matches_raw_virtual_clocks() {
         let s = shares(&[3, 1]);
         let mut raw = VirtualClocks::new(&s, 128);
-        let mut arb = EdfArbiter::new(&s, 128);
+        let mut arb = ArbiterMode::Edf.build(&s, 128, 4);
         for i in 0..200u64 {
             let id = QosId::new((i % 2) as u8);
             let d_raw = raw.stamp(id);
@@ -649,30 +347,13 @@ mod tests {
         for mode in ArbiterMode::ALL {
             let mut arb = mode.build(&shares(&[3, 1]), 128, 4);
             let d = arb.stamp(QosId::new(0), true, 77, 0, 0);
-            assert_eq!(d, VirtualDeadline(77), "{}: write stamp must be the seq", arb.name());
-        }
-    }
-
-    #[test]
-    fn capability_queries_partition_the_zoo() {
-        let s = shares(&[1, 1]);
-        for mode in ArbiterMode::ALL {
-            let arb = mode.build(&s, 128, 4);
-            assert_eq!(
-                arb.uses_deadlines(),
-                mode != ArbiterMode::Fcfs,
-                "{}: only FCFS is priority-blind",
-                arb.name()
-            );
-            assert_eq!(arb.classes(), 2);
-            assert_eq!(arb.name(), mode.label());
-            assert_eq!(arb.next_event(123), None, "no built-in arbiter keeps timed state");
+            assert_eq!(d, VirtualDeadline(77), "{}: write stamp must be the seq", mode.label());
         }
     }
 
     #[test]
     fn per_bank_keeps_banks_independent() {
-        let mut arb = PerBankArbiter::new(&shares(&[1, 1]), u64::MAX, 2);
+        let mut arb = ArbiterMode::PerBank.build(&shares(&[1, 1]), u64::MAX, 2);
         let id = QosId::new(0);
         // Heavy traffic on bank 0 advances only bank 0's clock…
         for i in 0..32u64 {
@@ -688,7 +369,7 @@ mod tests {
 
     #[test]
     fn dpq_distances_scale_inversely_with_weight() {
-        let arb = DpqArbiter::new(&shares(&[4, 1]));
+        let arb = Dpq::new(&shares(&[4, 1]));
         let hi = arb.service_bound(QosId::new(0), 0);
         let lo = arb.service_bound(QosId::new(1), 0);
         assert!(lo > hi, "low-weight class must carry the larger bound: {lo} vs {hi}");
@@ -698,7 +379,7 @@ mod tests {
     fn dpq_bound_holds_under_priority_order_service() {
         // Serve strictly in deadline order (the arbiter's ideal): the
         // promise must hold with the reorder factor to spare.
-        let mut arb = DpqArbiter::new(&shares(&[3, 1]));
+        let mut arb = ArbiterMode::Dpq.build(&shares(&[3, 1]), 128, 1);
         let mut queue: Vec<(QosId, VirtualDeadline, u64)> = Vec::new();
         let mut seq = 0u64;
         for round in 0..400u64 {
@@ -736,8 +417,7 @@ mod tests {
         // profile, and pathological service order (starving one read far
         // beyond the arbiter's bounded reordering) is *counted*, never
         // panicked on.
-        let mut arb = DpqArbiter::new(&shares(&[1, 1]));
-        arb.set_bound_checks(true);
+        let mut arb = TargetArbiter::Dpq(Dpq { check: true, ..Dpq::new(&shares(&[1, 1])) });
         // Victim stamped against an empty queue: its promise is the
         // minimum bound (one backlog slot times the reorder factor).
         let vd = arb.stamp(QosId::new(0), false, 1, 0, 0);
@@ -749,15 +429,14 @@ mod tests {
         assert_eq!(arb.bound_violations(), 0, "the promise is open, not yet missed");
         arb.on_picked(QosId::new(0), vd, 1, 0, 1);
         assert_eq!(arb.bound_violations(), 1, "starved far past the worst-case bound");
-        // Arbiters without promises report zero through the default.
-        let mut edf = EdfArbiter::new(&shares(&[1, 1]), 16);
-        edf.set_bound_checks(true);
+        // Arbiters without promises report zero.
+        let edf = ArbiterMode::Edf.build(&shares(&[1, 1]), 16, 1);
         assert_eq!(edf.bound_violations(), 0);
     }
 
     #[test]
     fn dpq_clock_is_monotone() {
-        let mut arb = DpqArbiter::new(&shares(&[2, 1]));
+        let mut arb = ArbiterMode::Dpq.build(&shares(&[2, 1]), 128, 1);
         let mut prev = 0;
         for i in 0..100u64 {
             let _ = arb.stamp(QosId::new(0), false, i, 0, 0);

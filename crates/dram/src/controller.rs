@@ -311,7 +311,12 @@ pub struct MemController {
     read_q: FrontQueue,
     write_q: FrontQueue,
     banks: Vec<Bank>,
-    arbiter: Box<dyn TargetArbiter>,
+    /// The mechanism: whether stamps enter the priority keys, and the
+    /// label reports carry.
+    mode: ArbiterMode,
+    arbiter: TargetArbiter,
+    /// QoS classes in the share table (the snapshot's clock count).
+    classes: usize,
     satmon: SatMonitor,
     /// Column accesses whose data awaits a bus slot.
     awaiting_bus: Vec<PendingBurst>,
@@ -356,7 +361,7 @@ impl MemController {
     /// `shares` provides the per-class strides for the priority arbiter
     /// (ignored by priority-blind modes); `slack` is the arbiter's
     /// virtual-credit bound (the paper uses 128). `mode` selects the
-    /// [`TargetArbiter`] implementation from the zoo.
+    /// [`TargetArbiter`] variant.
     ///
     /// # Panics
     ///
@@ -372,7 +377,9 @@ impl MemController {
             read_q: FrontQueue::new(cfg.read_q_cap, cfg.banks),
             write_q: FrontQueue::new(cfg.write_q_cap, cfg.banks),
             banks,
+            mode,
             arbiter: mode.build(shares, slack, cfg.banks),
+            classes: shares.classes(),
             satmon: SatMonitor::new(cfg.read_q_cap),
             awaiting_bus: Vec::new(),
             inflight: Vec::new(),
@@ -490,7 +497,8 @@ impl MemController {
     ///
     /// The saturation monitor's per-cycle occupancy sample is *not* an
     /// event (it never changes queue state); skipped cycles accrue it in
-    /// batch via [`MemController::accrue_skip`].
+    /// batch via [`MemController::accrue_skip`]. Nor is the arbiter: its
+    /// priorities move only when it stamps an accept or sees a grant.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         use pabst_simkit::horizon::Horizon;
 
@@ -529,15 +537,6 @@ impl MemController {
                 return Some(now);
             }
             h.add(done_at);
-        }
-        // The arbiter seam's own horizon: an arbiter whose priorities can
-        // change at a future cycle without a stamp or a pick reports it
-        // here so the skip contract holds for every implementation.
-        if let Some(at) = self.arbiter.next_event(now) {
-            if at <= now {
-                return Some(now);
-            }
-            h.add(at);
         }
         h.get()
     }
@@ -582,16 +581,18 @@ impl MemController {
         self.arbiter.clock(id)
     }
 
-    /// Stable label of the target arbiter behind the seam (provenance
-    /// hashing, report tables).
+    /// Stable label of the target arbiter (provenance hashing, report
+    /// tables).
     pub fn arbiter_name(&self) -> &'static str {
-        self.arbiter.name()
+        self.mode.label()
     }
 
-    /// Promotes the arbiter's debug-only bound assertions to counted
-    /// release-mode checks (no-op for arbiters without promises).
+    /// Keeps and checks the DPQ arbiter's worst-case service promises in
+    /// release builds too (no-op for arbiters without promises).
     pub fn set_bound_checks(&mut self, on: bool) {
-        self.arbiter.set_bound_checks(on);
+        if let TargetArbiter::Dpq(dpq) = &mut self.arbiter {
+            dpq.check = on;
+        }
     }
 
     /// Cumulative arbiter bound violations (e.g. DPQ worst-case service
@@ -618,8 +619,7 @@ impl MemController {
     /// A point-in-time view of the controller's queues and arbiter state
     /// for observability (trace records). Pure.
     pub fn snapshot(&self) -> McSnapshot {
-        let n = self.arbiter.classes();
-        let clocks = (0..n).map(|c| self.arbiter.clock(QosId::new(c as u8))).collect();
+        let clocks = (0..self.classes).map(|c| self.arbiter.clock(QosId::new(c as u8))).collect();
         McSnapshot {
             read_q_depth: self.read_q.len() as u64,
             write_q_depth: self.write_q.len() as u64,
@@ -629,11 +629,6 @@ impl MemController {
             ingress_rejects: self.ingress_rejects,
             virtual_clocks: clocks,
         }
-    }
-
-    /// Reprograms the per-class shares (software updating weights).
-    pub fn set_shares(&mut self, shares: &ShareTable) {
-        self.arbiter.set_shares(shares);
     }
 
     fn accept_from_ingress(&mut self, now: Cycle) {
@@ -650,11 +645,11 @@ impl MemController {
             let cols = req.line.get() / self.cfg.lines_per_row;
             let bank = (cols % self.cfg.banks as u64) as u32;
             let row = cols / self.cfg.banks as u64;
-            // The arbiter stamps every accepted request; priority policy
-            // (and whether writes carry any) lives behind the seam.
+            // The arbiter stamps every accepted request; only FCFS keeps
+            // the stamps out of the priority key.
             let q = if is_write { &mut self.write_q } else { &mut self.read_q };
             let deadline = self.arbiter.stamp(req.class, is_write, self.seq, bank, q.len());
-            let prio = if self.arbiter.uses_deadlines() { deadline } else { VirtualDeadline(0) };
+            let prio = if self.mode == ArbiterMode::Fcfs { VirtualDeadline(0) } else { deadline };
             let e = QueuedReq { req, deadline, key: (prio, self.seq), enq_at: now, bank, row };
             q.push(e, self.banks[bank as usize].open_row);
             self.issue_idle_until = 0;

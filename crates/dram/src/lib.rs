@@ -7,12 +7,12 @@
 //!
 //! * a *saturation monitor* averaging front-end read-queue occupancy per
 //!   epoch ([`pabst_core::satmon::SatMonitor`]), and
-//! * a *priority arbiter* behind the object-safe [`arbiter::TargetArbiter`]
-//!   seam, applying priority in both the front-end and the back-end bank
-//!   queues. The paper's mechanism ([`arbiter::EdfArbiter`], built on
+//! * a *priority arbiter* ([`arbiter::TargetArbiter`]), applying priority
+//!   in both the front-end and the back-end bank queues. The paper's
+//!   mechanism ([`arbiter::TargetArbiter::Edf`], built on
 //!   [`pabst_core::arbiter::VirtualClocks`]) is the default; competing
 //!   mechanisms — FQM cost charging, per-bank regulation, the DPQ
-//!   bounded-latency queue — plug in via [`ArbiterMode`].
+//!   bounded-latency queue — are selected by [`ArbiterMode`].
 //!
 //! The baseline scheduling policy is FR-FCFS (row hits first, then oldest);
 //! with a deadline-carrying arbiter it becomes the paper's "fair variant of

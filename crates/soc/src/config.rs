@@ -465,13 +465,6 @@ pub enum ConfigError {
         /// Cores the configuration provides.
         available: usize,
     },
-    /// A tile references a QoS class outside the weight table.
-    ClassOutOfRange {
-        /// The out-of-range class index.
-        class: usize,
-        /// Number of classes the weight table defines.
-        classes: usize,
-    },
     /// The weight table is invalid (empty class set, zero or overflowing
     /// weights, too many classes).
     Weights(ShareError),
@@ -499,9 +492,6 @@ impl fmt::Display for ConfigError {
             ConfigError::NoWorkloads => write!(f, "at least one core must run a workload"),
             ConfigError::TooManyCores { requested, available } => {
                 write!(f, "classes use {requested} cores but the system has {available}")
-            }
-            ConfigError::ClassOutOfRange { class, classes } => {
-                write!(f, "workload class {class} out of range for {classes} weights")
             }
             ConfigError::Weights(e) => write!(f, "{e}"),
             ConfigError::Dram(m) => write!(f, "{m}"),
@@ -673,7 +663,5 @@ mod tests {
         assert!(ConfigError::ZeroCores.to_string().starts_with("invalid system config: "));
         let e = ConfigError::Weights(ShareError::ZeroWeight);
         assert!(e.to_string().contains("non-zero"), "{e}");
-        let e = ConfigError::ClassOutOfRange { class: 5, classes: 2 };
-        assert!(e.to_string().contains("class 5"), "{e}");
     }
 }

@@ -53,9 +53,9 @@ pub struct System {
     mshr_wait: VecDeque<L3Req>,
     mcs: Vec<MemController>,
     /// One governor for the paper's global-SAT design; one per MC in the
-    /// per-MC variant (SIII-C1). The concrete mechanism behind the
-    /// [`Governor`] seam is selected by [`SystemConfig::governor`].
-    monitors: Vec<Box<dyn Governor>>,
+    /// per-MC variant (SIII-C1). [`SystemConfig::governor`] picks the law
+    /// each [`Governor`] applies to a fresh sample.
+    monitors: Vec<Governor>,
     rategen: RateGenerator,
     metrics: Metrics,
     /// The one owner of cycle skipping (see [`crate::sched::DomainSched`]):
@@ -197,7 +197,7 @@ impl System {
 
     /// Label of the source-side governor mechanism in force.
     pub fn governor_label(&self) -> &'static str {
-        self.monitors[0].label()
+        self.cfg.governor.label()
     }
 
     /// Label of the target-side arbiter mechanism in force. All

@@ -47,10 +47,6 @@ pub struct FnInfo {
     pub name: String,
     /// Enclosing `impl`/`trait` type name, if any.
     pub owner: Option<String>,
-    /// Trait named in the enclosing `impl Trait for Type` header, if any.
-    /// `None` for inherent impls, trait declarations, and free functions —
-    /// so a trait's own (default) methods never masquerade as an impl.
-    pub impl_trait: Option<String>,
     /// 0-based line of the `fn` keyword.
     pub line: usize,
     /// True for exactly-`pub` functions (`pub(crate)` is not pub here,
@@ -215,6 +211,22 @@ fn cfg_test_ranges(toks: &[Tok]) -> Vec<(usize, usize)> {
     out
 }
 
+/// The out-of-line modules (`mod name;`) a file declares, each with
+/// whether a `#[cfg(test)]` gate covers the declaration.
+pub fn mod_decls(toks: &[Tok]) -> Vec<(String, bool)> {
+    let test_ranges = cfg_test_ranges(toks);
+    let mut out = Vec::new();
+    for k in 0..toks.len().saturating_sub(2) {
+        if text(toks, k) == "mod" && toks[k + 1].kind == TokKind::Ident && text(toks, k + 2) == ";"
+        {
+            let line = toks[k].line;
+            let gated = test_ranges.iter().any(|&(a, b)| line >= a && line <= b);
+            out.push((toks[k + 1].text.clone(), gated));
+        }
+    }
+    out
+}
+
 /// Looks upward from the raw line above `ln` for a doc comment, skipping
 /// attributes and plain `//` comments (e.g. simlint suppressions).
 pub fn has_doc_above(raw_lines: &[&str], ln: usize) -> bool {
@@ -245,8 +257,8 @@ pub fn has_doc_above(raw_lines: &[&str], ln: usize) -> bool {
 
 #[derive(Debug)]
 enum CtxKind {
-    Impl { subject: String, trait_name: Option<String> },
-    Trait(String),
+    /// An `impl` block's subject type or a trait's name.
+    Owner(String),
     Fn(usize),
     Other,
 }
@@ -310,22 +322,9 @@ pub fn index_file(
     };
     let owner = |stack: &[Ctx]| -> Option<String> {
         stack.iter().rev().find_map(|c| match &c.kind {
-            CtxKind::Impl { subject, .. } | CtxKind::Trait(subject) => Some(subject.clone()),
+            CtxKind::Owner(subject) => Some(subject.clone()),
             _ => None,
         })
-    };
-    let impl_trait = |stack: &[Ctx]| -> Option<String> {
-        // Stops at the nearest impl/trait context, like `owner` — a fn owned
-        // by a trait declaration must not inherit an outer impl's trait.
-        stack
-            .iter()
-            .rev()
-            .find_map(|c| match &c.kind {
-                CtxKind::Impl { trait_name, .. } => Some(trait_name.clone()),
-                CtxKind::Trait(_) => Some(None),
-                _ => None,
-            })
-            .flatten()
     };
 
     while i < toks.len() {
@@ -372,23 +371,16 @@ pub fn index_file(
             (TokKind::Ident, "impl") => {
                 // Header: `impl<G> Trait for Type where ... {` — the subject
                 // type is the last angle-depth-0 path segment (after `for`
-                // when present); whatever `for` displaced is the implemented
-                // trait. Header tokens produce no edges.
+                // when present). Header tokens produce no edges.
                 let mut j = i + 1;
                 let mut angle = 0i32;
                 let mut name = String::new();
-                let mut trait_name: Option<String> = None;
                 while j < toks.len() {
                     let w = text(toks, j);
                     match w {
                         "<" => angle += 1,
                         ">" => angle -= 1,
                         "{" | "where" if angle <= 0 => break,
-                        "for" if angle <= 0 => {
-                            if !name.is_empty() {
-                                trait_name = Some(std::mem::take(&mut name));
-                            }
-                        }
                         _ => {
                             if angle <= 0 && toks[j].kind == TokKind::Ident && !is_keyword(w) {
                                 name = w.to_string();
@@ -400,7 +392,7 @@ pub fn index_file(
                 while j < toks.len() && text(toks, j) != "{" {
                     j += 1;
                 }
-                pending = Some(CtxKind::Impl { subject: name, trait_name });
+                pending = Some(CtxKind::Owner(name));
                 i = j;
             }
             (TokKind::Ident, "trait") => {
@@ -414,7 +406,7 @@ pub fn index_file(
                     j += 1;
                 }
                 if text(toks, j) == "{" {
-                    pending = Some(CtxKind::Trait(name));
+                    pending = Some(CtxKind::Owner(name));
                     i = j;
                 } else {
                     i = j + 1;
@@ -445,7 +437,6 @@ pub fn index_file(
                 idx.fns.push(FnInfo {
                     name: name_tok.text.clone(),
                     owner: owner(&stack),
-                    impl_trait: impl_trait(&stack),
                     line,
                     is_pub,
                     has_doc: has_doc_above(&raw_lines, line),
@@ -602,30 +593,14 @@ mod tests {
 
     #[test]
     fn impl_trait_for_type_attributes_to_the_type() {
-        let src = "impl fmt::Display for Diagnostic {\n    fn fmt(&self) {}\n}\n";
+        let src = "impl fmt::Display for Diagnostic {\n    fn fmt(&self) {}\n}\n\
+                   impl<T> Stamp for Generic<T> where T: Copy {\n    fn stamp(&mut self) {}\n}\n\
+                   trait Stamp {\n    fn stamp(&mut self) {}\n}\n";
         let idx = index(src);
-        assert_eq!(idx.fns[0].owner.as_deref(), Some("Diagnostic"));
-        // The last path segment before `for` names the implemented trait.
-        assert_eq!(idx.fns[0].impl_trait.as_deref(), Some("Display"));
-    }
-
-    #[test]
-    fn impl_trait_is_recorded_only_for_trait_impls() {
-        let src = "impl Arbiter {\n    fn inherent(&self) {}\n}\n\
-                   impl<T> TargetArbiter for Generic<T> {\n    fn stamp(&mut self) {}\n}\n\
-                   trait TargetArbiter {\n    fn stamp(&mut self) {}\n}\n";
-        let idx = index(src);
-        let by_line: Vec<(Option<&str>, Option<&str>)> =
-            idx.fns.iter().map(|f| (f.owner.as_deref(), f.impl_trait.as_deref())).collect();
-        assert_eq!(
-            by_line,
-            [
-                (Some("Arbiter"), None),
-                (Some("Generic"), Some("TargetArbiter")),
-                // A trait's own default methods are a declaration, not an impl.
-                (Some("TargetArbiter"), None),
-            ]
-        );
+        let owners: Vec<Option<&str>> = idx.fns.iter().map(|f| f.owner.as_deref()).collect();
+        // The subject after `for` owns the fns, not the trait before it; a
+        // trait's own default methods belong to the trait.
+        assert_eq!(owners, [Some("Diagnostic"), Some("Generic"), Some("Stamp")]);
     }
 
     #[test]

@@ -182,15 +182,17 @@ pub fn lint_source(spec: &FileSpec<'_>, source: &str) -> Vec<Diagnostic> {
 
 /// Lints a file set as one workspace: per-file pass, then the cross pass
 /// (taint, horizon-contract), then suppression-usage hygiene over all rules.
+/// A file that a `#[cfg(test)] mod name;` declaration (or a test file's
+/// `mod name;`) places in the set is linted as test code.
 pub fn lint_files(files: &[SourceFile]) -> Vec<Diagnostic> {
+    let lexed: Vec<lexer::Lexed> = files.iter().map(|f| lexer::lex(&f.source)).collect();
+    let is_test = test_modules(files, &lexed);
     let mut indexes = Vec::new();
     let mut passes = Vec::new();
-    for f in files {
-        let spec =
-            FileSpec { crate_name: &f.crate_name, rel_path: &f.rel_path, is_test: f.is_test };
-        let lx = lexer::lex(&f.source);
-        let idx = index::index_file(&f.crate_name, &f.rel_path, f.is_test, &f.source, &lx);
-        let pass = rules::file_pass(&spec, &lx, &idx);
+    for ((f, lx), &is_test) in files.iter().zip(&lexed).zip(&is_test) {
+        let spec = FileSpec { crate_name: &f.crate_name, rel_path: &f.rel_path, is_test };
+        let idx = index::index_file(&f.crate_name, &f.rel_path, is_test, &f.source, lx);
+        let pass = rules::file_pass(&spec, lx, &idx);
         indexes.push(idx);
         passes.push(pass);
     }
@@ -202,6 +204,41 @@ pub fn lint_files(files: &[SourceFile]) -> Vec<Diagnostic> {
     }
     diags.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     diags
+}
+
+/// Which of `files` are test code: those marked so, plus every module
+/// file declared out of line by a `#[cfg(test)] mod name;`, or by any
+/// `mod name;` in a file already found to be test code. A declaration in
+/// `dir/lib.rs`, `dir/main.rs` or `dir/mod.rs` names `dir/name.rs` or
+/// `dir/name/mod.rs`; one in `dir/file.rs` looks under `dir/file/`.
+fn test_modules(files: &[SourceFile], lexed: &[lexer::Lexed]) -> Vec<bool> {
+    let by_path: std::collections::BTreeMap<&str, usize> =
+        files.iter().enumerate().map(|(i, f)| (f.rel_path.as_str(), i)).collect();
+    let decls: Vec<Vec<(String, bool)>> =
+        lexed.iter().map(|lx| index::mod_decls(&lx.toks)).collect();
+    let mut is_test: Vec<bool> = files.iter().map(|f| f.is_test).collect();
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (i, f) in files.iter().enumerate() {
+            let dir = match f.rel_path.rsplit_once('/') {
+                Some((dir, "lib.rs" | "main.rs" | "mod.rs")) => dir.to_string(),
+                _ => f.rel_path.trim_end_matches(".rs").to_string(),
+            };
+            for (name, gated) in &decls[i] {
+                if !(*gated || is_test[i]) {
+                    continue;
+                }
+                for path in [format!("{dir}/{name}.rs"), format!("{dir}/{name}/mod.rs")] {
+                    if let Some(&j) = by_path.get(path.as_str()) {
+                        changed |= !is_test[j];
+                        is_test[j] = true;
+                    }
+                }
+            }
+        }
+    }
+    is_test
 }
 
 /// Collects and lints every Rust source file in the workspace rooted at

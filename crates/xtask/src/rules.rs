@@ -482,18 +482,12 @@ pub fn cross_pass(indexes: &[FileIndex], passes: &mut [FilePass]) {
     // Every sim-crate type with a `step`/`step_*` method must define
     // `next_event` (drivers — types defining `advance`/`horizon` — are the
     // min-combine side of the contract and exempt), and that `next_event`
-    // must actually be reached from `System::advance`. Types that implement
-    // the `TargetArbiter` seam owe the same surface even though they have no
-    // `step` of their own: the memory controller steps *for* them, so an
-    // arbiter whose wake-ups are invisible to the min-combine lets the skip
-    // loop jump a deadline promotion or a regulation window edge.
+    // must actually be reached from `System::advance`.
     #[derive(Default)]
     struct Surface {
         step: Option<(NodeId, String)>,
         next_event: Option<NodeId>,
         driver: bool,
-        /// First fn seen inside an `impl TargetArbiter for Type` block.
-        arbiter_impl: Option<NodeId>,
     }
     let mut surfaces: std::collections::BTreeMap<(String, String), Surface> =
         std::collections::BTreeMap::new();
@@ -508,9 +502,6 @@ pub fn cross_pass(indexes: &[FileIndex], passes: &mut [FilePass]) {
             }
             let key = (file.crate_name.clone(), owner.clone());
             let s = surfaces.entry(key).or_default();
-            if f.impl_trait.as_deref() == Some("TargetArbiter") && s.arbiter_impl.is_none() {
-                s.arbiter_impl = Some((fi, ni));
-            }
             if f.name == "step" || f.name.starts_with("step_") {
                 if s.step.is_none() {
                     s.step = Some(((fi, ni), f.name.clone()));
@@ -556,26 +547,6 @@ pub fn cross_pass(indexes: &[FileIndex], passes: &mut [FilePass]) {
         passes[nfi].push(&indexes[nfi].rel_path, line, RULE_HORIZON_CONTRACT, msg);
     };
     for ((_crate, ty), s) in &surfaces {
-        // The arbiter seam first: a `TargetArbiter` impl owes `next_event`
-        // whether or not it steps itself (the controller steps for it).
-        if let Some((afi, ani)) = s.arbiter_impl {
-            match s.next_event {
-                None => {
-                    let line = indexes[afi].fns[ani].line;
-                    let msg = format!(
-                        "type `{ty}` implements TargetArbiter but defines no \
-                         `next_event`; the memory controller's horizon \
-                         min-combine cannot see its wake-ups and \
-                         System::advance will skip over deadline or window \
-                         edges — implement next_event (docs/MECHANISMS.md)"
-                    );
-                    passes[afi].push(&indexes[afi].rel_path, line, RULE_HORIZON_CONTRACT, msg);
-                }
-                Some((nfi, nni)) => report_unreached(ty, nfi, nni, passes),
-            }
-            // Covered; don't double-report through the step-method path.
-            continue;
-        }
         let Some(((fi, ni), step_name)) = &s.step else { continue };
         if s.driver {
             continue;

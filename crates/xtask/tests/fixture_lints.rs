@@ -296,46 +296,25 @@ fn contract_accepts_next_event_wired_through_a_domain_probe() {
 }
 
 #[test]
-fn arbiter_impl_requires_next_event() {
-    // A `TargetArbiter` impl owes the horizon surface even without a
-    // `step` method of its own — the controller steps on its behalf.
-    let diags = lint_files(&[sf(
-        "dram",
-        "crates/dram/src/fixture.rs",
-        include_str!("fixtures/arbiter_bad.rs"),
-    )]);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].rule, xtask::RULE_HORIZON_CONTRACT);
-    assert!(
-        diags[0].message.contains("`BlindArbiter` implements TargetArbiter but defines no"),
-        "{diags:?}"
-    );
-
-    let diags = lint_files(&[sf(
-        "dram",
-        "crates/dram/src/fixture.rs",
-        include_str!("fixtures/arbiter_ok.rs"),
-    )]);
-    assert!(diags.is_empty(), "a defined horizon surface satisfies the seam: {diags:?}");
-}
-
-#[test]
-fn arbiter_next_event_must_be_wired_into_advance() {
-    // Defined but unreached: the workspace has a System::advance that never
-    // consults the arbiter's wake-ups.
-    let diags = lint_files(&[
-        sf("soc", "crates/soc/src/system.rs", include_str!("fixtures/taint_root.rs")),
-        sf("dram", "crates/dram/src/fixture.rs", include_str!("fixtures/arbiter_ok.rs")),
-    ]);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].rule, xtask::RULE_HORIZON_CONTRACT);
-    assert!(diags[0].message.contains("`BlindArbiter::next_event` is never reached"), "{diags:?}");
-    // A root that probes `next_event` in its min-combine clears it.
-    let diags = lint_files(&[
-        sf("soc", "crates/soc/src/system.rs", include_str!("fixtures/contract_root_wired.rs")),
-        sf("dram", "crates/dram/src/fixture.rs", include_str!("fixtures/arbiter_ok.rs")),
-    ]);
+fn out_of_line_test_module_is_test_code() {
+    // The body of `#[cfg(test)] mod oracle;` lives in its own file under
+    // `src/`; the declaration, not the directory, makes it test code, so
+    // its seeded RNG is no fault-injection bypass.
+    let oracle = "use pabst_simkit::rng::SimRng;\n\n\
+                  fn seeded_port() -> u64 {\n    \
+                  let mut rng = SimRng::seed_from_u64(7);\n    \
+                  rng.gen_range(0..4)\n}\n";
+    let lint = |parent: &str| {
+        lint_files(&[
+            sf("cpu", "crates/cpu/src/core_model.rs", parent),
+            sf("cpu", "crates/cpu/src/core_model/oracle.rs", oracle),
+        ])
+    };
+    let diags = lint("pub fn model() {}\n\n#[cfg(test)]\nmod oracle;\n");
     assert!(diags.is_empty(), "{diags:?}");
+    // Without the gate the same module is mechanism code.
+    let diags = lint("pub fn model() {}\n\nmod oracle;\n");
+    assert_eq!(lines_for(&diags, xtask::RULE_FAULT_RNG), vec![1, 4, 5], "{diags:?}");
 }
 
 #[test]
