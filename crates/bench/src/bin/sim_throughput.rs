@@ -1,7 +1,6 @@
 //! Self-profiles the simulator: simulated cycles per wall-clock second on
 //! the small-test, baseline and mesh machines (read streamers, chasers,
-//! and write streamers on the baseline), a per-epoch step() timing via
-//! the in-repo micro-benchmark harness, and a serial-vs-parallel sweep
+//! and write streamers on the baseline), and a serial-vs-parallel sweep
 //! comparison through `harness::run_indexed` (the `all_figures` executor).
 //!
 //! Each profile's window, skip-on and naive alike, runs whole epochs
@@ -17,8 +16,8 @@
 
 use std::time::{Duration, Instant};
 
+use pabst_bench::harness;
 use pabst_bench::obs::CliArgs;
-use pabst_bench::{harness, timing};
 use pabst_cpu::Workload;
 use pabst_soc::config::{RegulationMode, SystemConfig};
 use pabst_soc::system::{System, SystemBuilder};
@@ -283,21 +282,6 @@ fn main() {
             .into_iter()
             .map(|name| profile(name, window))
             .collect();
-
-    // Per-epoch wall time through the micro-benchmark harness (median of
-    // 9 samples, fresh warmed system per sample) — the step()-path number
-    // a perf PR should move.
-    if !quick {
-        timing::bench_batched(
-            "epoch(small_test, 4 streamers)",
-            || {
-                let mut sys = build("small", true);
-                sys.run_epochs(1);
-                sys
-            },
-            |mut sys| sys.run_epochs(1),
-        );
-    }
 
     // Sweep scaling through the same executor all_figures uses.
     let sweep_runs = 4;

@@ -352,7 +352,6 @@ pub fn run_cell(
         // The checker classifies wedges: recording them, rather than
         // panicking on the first, keeps the cell's outcome and counts.
         cfg.invariants.policy = ViolationPolicy::Record;
-        cfg.invariants.bound_checks = true;
         cfg.invariants.liveness_epochs = LIVENESS_EPOCHS;
         let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)
             .class(3, read_streamers(0, 2, seed))

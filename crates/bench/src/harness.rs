@@ -121,12 +121,6 @@ impl RunCtx {
         }
     }
 
-    /// A context outside any sweep (micro-benchmarks, tests): no tracing,
-    /// skipping on, reports tagged `detached`.
-    pub fn detached() -> Self {
-        Self::new(&Params::new("detached", "", 0, 0), &CliArgs::default())
-    }
-
     /// Whether the cell's systems skip quiescent cycles (off under
     /// `--no-skip`).
     pub fn skip(&self) -> bool {
@@ -597,17 +591,6 @@ mod tests {
         assert_eq!(worker_count(Some(2), 100), 2, "--jobs caps the count");
         assert!(worker_count(None, 100) >= 1);
         assert_eq!(worker_count(Some(0), 0), 1, "empty grid still gets one worker");
-    }
-
-    #[test]
-    fn detached_ctx_buffers_nothing() {
-        let ctx = RunCtx::detached();
-        assert!(!ctx.tracing);
-        let p = Params::new("t", "c", 0, 1);
-        let r = ctx.finish(&p, vec![("m", 1.0)], Vec::new());
-        assert!(r.trace.is_empty());
-        assert!(r.reports.is_empty());
-        assert_eq!(r.metric("m"), 1.0);
     }
 
     #[test]

@@ -24,10 +24,6 @@
 //! The `sim_throughput` binary self-profiles the simulator (simulated
 //! cycles per wall-clock second) and writes `BENCH_sim_throughput.json`,
 //! the perf trajectory CI tracks.
-//!
-//! Micro-benchmarks (`cargo bench -p pabst-bench`) use the in-repo
-//! [`timing`] harness — the workspace builds without network access, so
-//! no external benchmarking framework is pulled in.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,4 +36,3 @@ pub mod scenarios;
 pub mod shrink;
 pub mod spark;
 pub mod table;
-pub mod timing;

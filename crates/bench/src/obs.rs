@@ -3,8 +3,7 @@
 //! Every `src/bin/` runner accepts the same flags, parsed once into
 //! [`CliArgs`] instead of being re-scanned ad hoc per binary:
 //!
-//! * `--quick` — shortened run (fewer epochs, looser numbers) for CI and
-//!   the micro-benchmark wrappers;
+//! * `--quick` — shortened run (fewer epochs, looser numbers) for CI;
 //! * `--jobs <n>` — worker threads for the sweep harness (`0` = one per
 //!   available core); the merged output is byte-identical at any value;
 //! * `--filter <experiment>` — run only the named experiment of a

@@ -137,8 +137,8 @@ impl TargetArbiter {
         }
     }
 
-    /// Cumulative worst-case service promises missed (DPQ with checking
-    /// on; 0 otherwise). Growth is surfaced as a `dpq service bound`
+    /// Cumulative worst-case service promises missed (DPQ; 0 for the
+    /// other arbiters). Growth is surfaced as a `dpq service bound`
     /// invariant violation by the epoch checker.
     pub fn bound_violations(&self) -> u64 {
         match self {
@@ -170,12 +170,10 @@ const DPQ_REORDER_FACTOR: u64 = 64;
 /// *checkable worst-case service bound* per class — without modelling
 /// the hardware queue itself.
 ///
-/// In debug builds, and in release when
-/// [`crate::MemController::set_bound_checks`] turns checking on, every
-/// read stamp records a service promise (`backlog + relative-deadline
-/// gap`, inflated by `DPQ_REORDER_FACTOR` for the controller's bounded
-/// non-priority reordering) and every pick counts a promise that did not
-/// hold.
+/// In every build, every read stamp records a service promise
+/// (`backlog + relative-deadline gap`, inflated by `DPQ_REORDER_FACTOR`
+/// for the controller's bounded non-priority reordering) and every pick
+/// counts a promise that did not hold.
 #[derive(Debug, Clone)]
 pub struct Dpq {
     /// Per-class relative deadline (insertion distance) in service
@@ -188,13 +186,7 @@ pub struct Dpq {
     /// Total read grants observed.
     served: u64,
     /// Outstanding service promises: seq → served-counter bound.
-    /// Debug-only accounting unless checking is on, but kept
-    /// unconditionally so skip/noskip replicas and both build profiles
-    /// share identical struct shape.
     promises: BTreeMap<u64, u64>,
-    /// Release-mode promotion of the bound check: when set, promises are
-    /// kept (and checked) even without `debug_assertions`.
-    pub(crate) check: bool,
     /// Promises missed — reads served later than their worst-case bound.
     violations: u64,
 }
@@ -216,7 +208,6 @@ impl Dpq {
             last_stamp: [0; MAX_CLASSES],
             served: 0,
             promises: BTreeMap::new(),
-            check: false,
             violations: 0,
         }
     }
@@ -234,19 +225,16 @@ impl Dpq {
     fn stamp(&mut self, class: QosId, seq: u64, backlog: usize) -> VirtualDeadline {
         let d = seq.saturating_add(self.d_rel[class.index()]);
         self.last_stamp[class.index()] = d;
-        if cfg!(debug_assertions) || self.check {
-            let bound = self.service_bound(class, backlog);
-            self.promises.insert(seq, self.served.saturating_add(bound));
-        }
+        let bound = self.service_bound(class, backlog);
+        self.promises.insert(seq, self.served.saturating_add(bound));
         VirtualDeadline(d)
     }
 
     fn on_picked(&mut self, seq: u64) {
         if let Some(promise) = self.promises.remove(&seq) {
-            // Promoted from a debug_assert: a missed promise is counted
-            // and reported through the epoch invariant checker, so
-            // release-mode chaos campaigns classify it instead of the
-            // sweep dying (or, worse, the miss passing silently).
+            // A missed promise is counted and reported through the epoch
+            // invariant checker, which panics on it by default and lets
+            // chaos campaigns record and classify it instead.
             if self.served > promise {
                 self.violations += 1;
             }
@@ -275,7 +263,7 @@ pub enum ArbiterMode {
     /// Bank-granularity regulation, Sullivan et al. style
     /// ([`TargetArbiter::PerBank`]).
     PerBank,
-    /// Shah et al.'s distance-based priority queue with a debug-checked
+    /// Shah et al.'s distance-based priority queue with a checked
     /// worst-case service bound ([`TargetArbiter::Dpq`]).
     Dpq,
 }
@@ -413,11 +401,10 @@ mod tests {
 
     #[test]
     fn dpq_bound_check_promotion_counts_misses_in_release_too() {
-        // With checking promoted, promises are kept regardless of build
-        // profile, and pathological service order (starving one read far
-        // beyond the arbiter's bounded reordering) is *counted*, never
-        // panicked on.
-        let mut arb = TargetArbiter::Dpq(Dpq { check: true, ..Dpq::new(&shares(&[1, 1])) });
+        // Promises are kept in every build profile, and pathological
+        // service order (starving one read far beyond the arbiter's
+        // bounded reordering) is *counted*, never panicked on.
+        let mut arb = ArbiterMode::Dpq.build(&shares(&[1, 1]), 128, 1);
         // Victim stamped against an empty queue: its promise is the
         // minimum bound (one backlog slot times the reorder factor).
         let vd = arb.stamp(QosId::new(0), false, 1, 0, 0);

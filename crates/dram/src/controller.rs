@@ -587,14 +587,6 @@ impl MemController {
         self.mode.label()
     }
 
-    /// Keeps and checks the DPQ arbiter's worst-case service promises in
-    /// release builds too (no-op for arbiters without promises).
-    pub fn set_bound_checks(&mut self, on: bool) {
-        if let TargetArbiter::Dpq(dpq) = &mut self.arbiter {
-            dpq.check = on;
-        }
-    }
-
     /// Cumulative arbiter bound violations (e.g. DPQ worst-case service
     /// promises missed); read each epoch by the invariant checker.
     pub fn bound_violations(&self) -> u64 {

@@ -280,14 +280,7 @@ impl FaultPlan {
     /// plan that produced it. The empty plan digests to the FNV offset
     /// basis.
     pub fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        for b in self.to_jsonl().bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        h
+        crate::fnv1a(self.to_jsonl().bytes())
     }
 }
 

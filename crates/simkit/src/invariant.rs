@@ -86,11 +86,6 @@ pub enum ViolationPolicy {
 pub struct InvariantConfig {
     /// Panic on the first violation (the default) or record them all.
     pub policy: ViolationPolicy,
-    /// Promote the DPQ worst-case service bound (and any other
-    /// release-gated bound checks) from `debug_assert!` to counted
-    /// release-mode checks. Off by default: golden runs skip the
-    /// per-grant promise bookkeeping; chaos campaigns switch it on.
-    pub bound_checks: bool,
     /// Per-component forward-progress window, in epochs. A component
     /// with pending work that delivers zero bytes for more than this
     /// many consecutive epochs raises a liveness violation. `0`
@@ -396,7 +391,6 @@ mod tests {
     fn chk(liveness: u64) -> InvariantChecker {
         InvariantChecker::new(InvariantConfig {
             policy: ViolationPolicy::Record,
-            bound_checks: true,
             liveness_epochs: liveness,
         })
     }

@@ -29,8 +29,8 @@
 //!   [`invariant::InvariantViolation`]s for chaos-campaign outcome
 //!   classification (docs/RESILIENCE.md).
 //! * [`trace`] — epoch-structured observability: typed per-epoch records,
-//!   pluggable sinks (in-memory ring, JSONL writer), and a dependency-free
-//!   integer-only serializer.
+//!   the [`trace::TraceSink`] seam with an in-memory JSONL buffer
+//!   ([`trace::MemSink`]), and a dependency-free integer-only serializer.
 //! * [`horizon::Horizon`] — min-combining of per-component `next_event`
 //!   answers, the primitive behind quiescence-aware cycle skipping
 //!   (docs/PERFORMANCE.md).
@@ -70,6 +70,22 @@ pub type Cycle = u64;
 
 /// Number of bytes in a cache line / DRAM burst throughout the model.
 pub const LINE_BYTES: u64 = 64;
+
+/// 64-bit FNV-1a over `bytes`: the one stable, platform-independent hash
+/// behind every provenance fingerprint (mechanism hash, fault-plan
+/// digest). The empty input hashes to the FNV offset basis.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(pabst_simkit::fnv1a([]), 0xcbf2_9ce4_8422_2325);
+/// assert_eq!(pabst_simkit::fnv1a(*b"a"), 0xaf63_dc4c_8601_ec8c);
+/// ```
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    bytes.into_iter().fold(FNV_OFFSET, |h, b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
 
 /// Converts a byte count over a cycle count into GB/s assuming a 2 GHz clock.
 ///

@@ -1,5 +1,6 @@
-//! Epoch-structured observability: one typed record per epoch, pluggable
-//! sinks, and a dependency-free JSONL serialization.
+//! Epoch-structured observability: one typed record per epoch, the
+//! [`TraceSink`] seam with the in-memory [`MemSink`] the sweeps run, and
+//! a dependency-free JSONL serialization.
 //!
 //! The paper's evaluation reads everything off per-epoch signals — the
 //! multiplier `M`, its step `δM`, the wired-OR SAT bit, per-class
@@ -26,9 +27,7 @@
 //! assert_eq!(parse_line(&line), Ok(rec));
 //! ```
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::io;
 
 use crate::jsonl;
 
@@ -177,96 +176,6 @@ pub trait TraceSink: std::fmt::Debug {
     fn record(&mut self, rec: &EpochRecord);
 }
 
-/// An in-memory ring of the most recent records (always-on tracing with a
-/// bounded footprint).
-#[derive(Debug, Clone)]
-pub struct RingSink {
-    cap: usize,
-    buf: VecDeque<EpochRecord>,
-}
-
-impl RingSink {
-    /// Creates a ring keeping the last `cap` records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero — a ring that can hold nothing records
-    /// nothing.
-    pub fn new(cap: usize) -> Self {
-        assert!(cap > 0, "ring capacity must be at least one record");
-        Self { cap, buf: VecDeque::with_capacity(cap) }
-    }
-
-    /// The retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &EpochRecord> {
-        self.buf.iter()
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, rec: &EpochRecord) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(rec.clone());
-    }
-}
-
-/// A sink writing one JSON object per line to any [`io::Write`].
-///
-/// Write errors cannot propagate through the infallible [`TraceSink`]
-/// interface, so the sink latches the first failure and drops all
-/// subsequent records; check [`JsonlSink::had_error`] after the run.
-pub struct JsonlSink<W: io::Write> {
-    out: W,
-    failed: bool,
-}
-
-impl<W: io::Write> JsonlSink<W> {
-    /// Wraps a writer. Callers wanting buffering supply a
-    /// [`io::BufWriter`]; its `Drop` flushes when the sink is released.
-    pub fn new(out: W) -> Self {
-        Self { out, failed: false }
-    }
-
-    /// True once any write has failed (later records were discarded).
-    pub fn had_error(&self) -> bool {
-        self.failed
-    }
-
-    /// Unwraps the underlying writer.
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
-impl<W: io::Write> TraceSink for JsonlSink<W> {
-    fn record(&mut self, rec: &EpochRecord) {
-        if self.failed {
-            return;
-        }
-        if writeln!(self.out, "{}", rec.to_json()).is_err() {
-            self.failed = true;
-        }
-    }
-}
-
-impl<W: io::Write> std::fmt::Debug for JsonlSink<W> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonlSink").field("failed", &self.failed).finish_non_exhaustive()
-    }
-}
-
 /// A sink accumulating JSONL text in a shared in-memory buffer.
 ///
 /// The parallel sweep harness runs many systems concurrently and must
@@ -394,37 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_keeps_most_recent() {
-        let mut ring = RingSink::new(2);
-        assert!(ring.is_empty());
-        for i in 0..5u64 {
-            ring.record(&EpochRecord { epoch: i, ..EpochRecord::default() });
-        }
-        assert_eq!(ring.len(), 2);
-        let epochs: Vec<u64> = ring.records().map(|r| r.epoch).collect();
-        assert_eq!(epochs, vec![3, 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one record")]
-    fn zero_capacity_ring_panics() {
-        let _ = RingSink::new(0);
-    }
-
-    #[test]
-    fn jsonl_sink_writes_one_line_per_record() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.record(&sample());
-        sink.record(&EpochRecord::default());
-        assert!(!sink.had_error());
-        let text = String::from_utf8(sink.into_inner()).expect("utf8");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(parse_line(lines[0]), Ok(sample()));
-        assert_eq!(parse_line(lines[1]), Ok(EpochRecord::default()));
-    }
-
-    #[test]
     fn mem_sink_clones_share_one_buffer() {
         let handle = MemSink::new();
         let mut attached = handle.clone();
@@ -436,24 +314,5 @@ mod tests {
         assert_eq!(parse_line(lines[0]), Ok(sample()));
         assert_eq!(handle.take(), text, "take drains what contents saw");
         assert!(handle.contents().is_empty(), "take leaves the buffer empty");
-    }
-
-    #[test]
-    fn jsonl_sink_latches_write_errors() {
-        /// A writer that always fails.
-        struct Broken;
-        impl io::Write for Broken {
-            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
-                Err(io::Error::other("broken pipe"))
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut sink = JsonlSink::new(Broken);
-        sink.record(&sample());
-        assert!(sink.had_error());
-        sink.record(&sample()); // silently dropped, no panic
-        assert!(sink.had_error());
     }
 }

@@ -235,8 +235,7 @@ pub struct SystemConfig {
     /// so it is excluded from [`SystemConfig::mechanism_hash`] and
     /// checking more laws leaves every golden byte-identical.
     /// Resilience runs set a liveness window (the forward-progress
-    /// watchdog); chaos campaigns also switch on `bound_checks` and the
-    /// recording policy.
+    /// watchdog); chaos campaigns also switch on the recording policy.
     pub invariants: InvariantConfig,
 }
 
@@ -372,18 +371,7 @@ impl SystemConfig {
     /// geometry changes show up in the config name, while a silent
     /// mechanism or knob swap is what provenance must catch.
     pub fn mechanism_hash(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            }
-        };
-        eat(self.governor.label().as_bytes());
-        eat(b"/");
-        eat(self.arbiter.label().as_bytes());
-        for knob in [
+        let knobs = [
             u64::from(self.monitor.m_init),
             u64::from(self.monitor.m_min),
             u64::from(self.monitor.m_max),
@@ -393,10 +381,15 @@ impl SystemConfig {
             u64::from(self.monitor.degraded_m),
             self.pacer_burst,
             self.arbiter_slack,
-        ] {
-            eat(&knob.to_le_bytes());
-        }
-        h
+        ];
+        pabst_simkit::fnv1a(
+            self.governor
+                .label()
+                .bytes()
+                .chain(*b"/")
+                .chain(self.arbiter.label().bytes())
+                .chain(knobs.into_iter().flat_map(u64::to_le_bytes)),
+        )
     }
 
     /// Validates internal consistency.

@@ -885,8 +885,7 @@ impl System {
     ///   pending, so no request is lost or double-counted;
     /// * queue occupancy vs. configured capacity, and the staged-request
     ///   counter vs. the interconnect's class queues;
-    /// * the DPQ worst-case service bound (when `invariants.bound_checks`
-    ///   promoted it to release mode);
+    /// * the DPQ worst-case service bound;
     /// * the SAT duty cycle is a valid fraction of epochs;
     /// * per-controller forward progress (when a liveness window is set).
     ///
@@ -1077,14 +1076,9 @@ impl SystemBuilder {
         }
 
         let arb = if self.mode.target_active() { self.cfg.arbiter } else { ArbiterMode::Fcfs };
-        let mut mcs: Vec<MemController> = (0..self.cfg.mcs)
+        let mcs: Vec<MemController> = (0..self.cfg.mcs)
             .map(|_| MemController::new(self.cfg.dram, arb, &shares, self.cfg.arbiter_slack))
             .collect();
-        if self.cfg.invariants.bound_checks {
-            for mc in &mut mcs {
-                mc.set_bound_checks(true);
-            }
-        }
 
         let mut tiles = Vec::new();
         let mut tile_class = Vec::new();
@@ -1492,7 +1486,6 @@ mod tests {
     #[test]
     fn invariant_checker_runs_and_stays_clean_on_a_healthy_run() {
         let mut cfg = SystemConfig::small_test();
-        cfg.invariants.bound_checks = true;
         cfg.invariants.liveness_epochs = 4;
         let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)
             .class(1, stream_boxes(2))
@@ -1533,9 +1526,8 @@ mod tests {
     #[test]
     fn invariant_checking_is_observation_only() {
         // The acceptance criterion behind leaving the checker on in
-        // golden runs: arming every invariant family (including the
-        // release-promoted DPQ bound and a liveness window) must not
-        // perturb a single trace field.
+        // golden runs: arming every invariant family (the liveness
+        // window too) must not perturb a single trace field.
         let run = |inv: InvariantConfig| {
             let mut cfg = SystemConfig::small_test();
             cfg.invariants = inv;
@@ -1550,11 +1542,7 @@ mod tests {
             records
         };
         let default = run(InvariantConfig::default());
-        let armed = run(InvariantConfig {
-            bound_checks: true,
-            liveness_epochs: 1,
-            ..InvariantConfig::default()
-        });
+        let armed = run(InvariantConfig { liveness_epochs: 1, ..InvariantConfig::default() });
         assert_eq!(default, armed, "the checker must read state, never mutate it");
     }
 

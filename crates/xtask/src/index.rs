@@ -269,6 +269,17 @@ struct Ctx {
     entry_depth: usize,
 }
 
+/// A `let` binding that shadows same-named fns: in fn `fi`, after the
+/// `;` ending its statement (token `live_from`) until the block at
+/// `depth` closes.
+#[derive(Debug)]
+struct Binding {
+    name: String,
+    fi: usize,
+    depth: usize,
+    live_from: usize,
+}
+
 /// Checks one identifier (at `i`) for sink-hood and records it on `f`.
 fn sink_check(toks: &[Tok], i: usize, f: &mut FnInfo) {
     let t = &toks[i];
@@ -310,6 +321,7 @@ pub fn index_file(
     };
 
     let mut stack: Vec<Ctx> = Vec::new();
+    let mut bindings: Vec<Binding> = Vec::new();
     let mut pending: Option<CtxKind> = None;
     let mut depth = 0usize;
     let mut i = 0usize;
@@ -342,6 +354,7 @@ pub fn index_file(
                 if stack.last().map(|c| c.entry_depth) == Some(depth) {
                     stack.pop();
                 }
+                bindings.retain(|b| b.depth < depth);
                 depth = depth.saturating_sub(1);
                 i += 1;
             }
@@ -496,12 +509,39 @@ pub fn index_file(
             }
             (TokKind::Ident, "let") => {
                 // Skip the binding identifier so `let run = ...` doesn't
-                // reference a fn named `run`.
+                // reference a fn named `run`. A `let [mut] run` statement
+                // also shadows fn `run` for the rest of its block, so it
+                // is recorded; `if let` / `while let` patterns are not,
+                // which only keeps edges (an over-approximation).
+                let statement = i == 0 || matches!(text(toks, i - 1), ";" | "{" | "}" | "]");
                 i += 1;
                 if text(toks, i) == "mut" {
                     i += 1;
                 }
                 if toks.get(i).map(|t| t.kind) == Some(TokKind::Ident) {
+                    if let (true, Some(fi), "=" | ":" | ";") =
+                        (statement, cur_fn(&stack), text(toks, i + 1))
+                    {
+                        // The statement's `;` is the first one outside any
+                        // bracket (`[u8; 4]`, a block initializer).
+                        let mut end = i + 1;
+                        let mut nest = 0i32;
+                        while end < toks.len() {
+                            match text(toks, end) {
+                                "(" | "[" | "{" => nest += 1,
+                                ")" | "]" | "}" => nest -= 1,
+                                ";" if nest <= 0 => break,
+                                _ => {}
+                            }
+                            end += 1;
+                        }
+                        bindings.push(Binding {
+                            name: toks[i].text.clone(),
+                            fi,
+                            depth,
+                            live_from: end,
+                        });
+                    }
                     i += 1;
                 }
             }
@@ -539,6 +579,11 @@ pub fn index_file(
                     "!" => {} // macro name, not a call
                     ":" => {} // field name / type ascription (`::` is one token)
                     _ => match fnctx {
+                        // A bare use of a live `let` binding is the local.
+                        Some(fi)
+                            if bindings
+                                .iter()
+                                .any(|b| i > b.live_from && b.fi == fi && b.name == w) => {}
                         Some(fi) => idx.fns[fi].refs.push(w.to_string()),
                         None => idx.top_refs.push(w.to_string()),
                     },
@@ -660,9 +705,34 @@ mod tests {
         assert!(f.calls.contains(&"next_event".to_string()));
         assert!(f.calls.contains(&"helper".to_string()));
         assert!(!f.calls.contains(&"assert".to_string()), "macros are not calls");
-        // `let sample` binds; the later bare `sample` is a ref.
-        assert!(f.refs.contains(&"sample".to_string()));
+        // `let sample` binds; the later bare `sample` is that local, not
+        // a ref to a fn named `sample`.
+        assert!(!f.refs.contains(&"sample".to_string()));
         assert!(f.refs.contains(&"ready".to_string()), "macro arguments still produce refs");
+    }
+
+    #[test]
+    fn let_bindings_hide_same_named_fns_only_while_live() {
+        let src = "fn f() {\n\
+                       let a = run;\n\
+                       {\n\
+                           let run: [fn(); 1] = [run; 1];\n\
+                           let b = run;\n\
+                       }\n\
+                       let c = run;\n\
+                   }\n\
+                   fn outer() -> u64 {\n\
+                       let run = 1;\n\
+                       fn inner() -> u64 { run }\n\
+                       run\n\
+                   }\n";
+        let idx = index(src);
+        let runs = |f: &FnInfo| f.refs.iter().filter(|r| *r == "run").count();
+        // Before the binding, in its own initializer and after its block
+        // closes, `run` is the fn; only the use inside the block is not.
+        assert_eq!(runs(&idx.fns[0]), 3, "{:?}", idx.fns[0].refs);
+        assert_eq!(runs(&idx.fns[1]), 0, "outer's local hides the fn");
+        assert_eq!(runs(&idx.fns[2]), 1, "a nested fn cannot see outer's local");
     }
 
     #[test]

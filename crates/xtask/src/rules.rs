@@ -23,8 +23,9 @@ use crate::{
 
 /// Crates whose simulation state must iterate deterministically.
 pub const SIM_CRATES: [&str; 6] = ["simkit", "core", "cache", "cpu", "dram", "soc"];
-/// Crates exempt from the nondeterminism rule: the timing harness genuinely
-/// needs `Instant`, and this linter names the banned tokens.
+/// Crates exempt from the nondeterminism rule: `sim_throughput` in the
+/// bench crate times the host and genuinely needs `Instant`, and this
+/// linter names the banned tokens.
 const NONDET_EXEMPT_CRATES: [&str; 2] = ["bench", "xtask"];
 /// `pabst-core` files forming the integer regulation datapath.
 const FLOAT_FREE_FILES: [&str; 3] = ["pacer.rs", "arbiter.rs", "qos.rs"];

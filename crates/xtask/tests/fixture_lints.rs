@@ -318,6 +318,30 @@ fn out_of_line_test_module_is_test_code() {
 }
 
 #[test]
+fn a_let_binding_is_not_a_call_edge_to_the_same_named_fn() {
+    // A local named like a fn used to make every later bare use a ref to
+    // that fn, so an integer-only path "reached" a float-using `run`.
+    let lint = |body: &str| {
+        let util = format!(
+            "/// Epoch bookkeeping the root calls into.\n\
+             pub fn epoch_heartbeat(epoch: u64) -> u64 {{\n{body}}}\n\n\
+             /// Never reached from the stepping path.\n\
+             pub fn run(values: &[u64]) -> f64 {{\n    \
+             values.iter().sum::<u64>() as f64 * 0.5\n}}\n"
+        );
+        lint_files(&[
+            sf("soc", "crates/soc/src/system.rs", include_str!("fixtures/taint_root.rs")),
+            sf("bench", "crates/bench/src/util.rs", &util),
+        ])
+    };
+    let diags = lint("    let run = epoch.wrapping_mul(3);\n    run + 1\n");
+    assert!(diags.is_empty(), "the local shadows the fn: {diags:?}");
+    // Once the binding's block closes, `run` is the fn again.
+    let diags = lint("    {\n        let run = epoch;\n        let _ = run;\n    }\n    let f = run;\n    f(&[epoch]) as u64\n");
+    assert!(!lines_for(&diags, xtask::RULE_TAINT_FLOAT).is_empty(), "{diags:?}");
+}
+
+#[test]
 fn stale_allow_pair_flags_only_the_unused_suppression() {
     let diags = lint_fixture(
         "cache",

@@ -32,7 +32,6 @@ fn probe(
     cfg.governor = governor;
     cfg.arbiter = arbiter;
     cfg.invariants.policy = ViolationPolicy::Record;
-    cfg.invariants.bound_checks = true;
     cfg.invariants.liveness_epochs = chaos::LIVENESS_EPOCHS;
     let mut sys = SystemBuilder::new(cfg, RegulationMode::Pabst)
         .class(3, read_streamers(0, 2, 0))

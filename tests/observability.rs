@@ -1,49 +1,23 @@
 //! End-to-end checks of the epoch trace pipeline: a full system run
-//! streamed through [`JsonlSink`] must produce one well-formed record per
-//! epoch, parse back losslessly, agree with the in-memory [`RingSink`],
-//! and be byte-identical across runs.
+//! recorded through [`MemSink`], the sink the sweeps attach, must produce
+//! one well-formed record per epoch, parse back losslessly, and be
+//! byte-identical across runs.
 
-use std::cell::RefCell;
-use std::io;
-use std::rc::Rc;
-
-use pabst_simkit::trace::{parse_line, EpochRecord, JsonlSink, RingSink};
+use pabst_simkit::trace::{parse_line, EpochRecord, MemSink};
 use pabst_soc::config::{RegulationMode, SystemConfig};
-use pabst_soc::system::{System, SystemBuilder};
+use pabst_soc::system::SystemBuilder;
 use pabst_workloads::read_streamers;
 
-/// An `io::Write` whose buffer outlives the sink, so the test can read
-/// what the system wrote without going through the filesystem.
-#[derive(Debug, Clone, Default)]
-struct SharedBuf(Rc<RefCell<Vec<u8>>>);
-
-impl io::Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.borrow_mut().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-fn traced_system(buf: SharedBuf) -> System {
+fn run_traced(epochs: usize) -> String {
     let mut sys = SystemBuilder::new(SystemConfig::small_test(), RegulationMode::Pabst)
         .class(3, read_streamers(0, 2, 0))
         .class(1, read_streamers(1, 2, 0))
         .build()
         .expect("valid trace test configuration");
-    sys.add_trace_sink(Box::new(JsonlSink::new(buf)));
-    sys.add_trace_sink(Box::new(RingSink::new(16)));
-    sys
-}
-
-fn run_traced(epochs: usize) -> String {
-    let buf = SharedBuf::default();
-    let mut sys = traced_system(buf.clone());
+    let sink = MemSink::new();
+    sys.add_trace_sink(Box::new(sink.clone()));
     sys.run_epochs(epochs);
-    let bytes = buf.0.borrow().clone();
-    String::from_utf8(bytes).expect("trace output is UTF-8")
+    sink.take()
 }
 
 #[test]
